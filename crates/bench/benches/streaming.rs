@@ -1,5 +1,5 @@
 //! Streaming-service benchmarks: decisions/sec and p50/p99 decision
-//! latency for every algorithm served through `etsc-serve`'s scheduler,
+//! latency for every algorithm replayed through `etsc-serve`,
 //! cross-checked against the offline Figure-13 cell.
 //!
 //! Each algorithm is trained once, persisted through the model store
@@ -26,9 +26,7 @@ use etsc_datasets::PaperDataset;
 use etsc_eval::experiment::{AlgoSpec, RunConfig, RunResult};
 use etsc_eval::online::online_cell;
 use etsc_obs::Obs;
-use etsc_serve::{
-    fit_model, fit_triggered_model, replay_dataset, ReplayOptions, SchedulerConfig, StoredModel,
-};
+use etsc_serve::{fit_model, fit_triggered_model, replay_dataset, ReplayOptions, StoredModel};
 use etsc_trigger::TriggerSpec;
 
 /// One `BENCH_baseline.json` row: the measured serving numbers for one
@@ -112,10 +110,7 @@ fn timed_replays(
             Obs::disabled()
         };
         let options = ReplayOptions {
-            scheduler: SchedulerConfig {
-                obs,
-                ..options.scheduler.clone()
-            },
+            obs,
             ..options.clone()
         };
         black_box(replay_dataset(loaded, data, &options).expect("replay runs"));
@@ -210,7 +205,7 @@ fn trigger_benches(
             let options = ReplayOptions {
                 obs_frequency_secs: obs_freq,
                 batch: loaded.meta.decision_batch(data.max_len(), config),
-                scheduler: SchedulerConfig::default(),
+                ..ReplayOptions::default()
             };
             let combo = format!("{}+{}", base.name(), spec.kind.name());
             group.bench_with_input(BenchmarkId::new(&combo, "PowerCons"), data, |b, data| {
@@ -266,7 +261,7 @@ fn streaming_benches(c: &mut Criterion) {
         let options = ReplayOptions {
             obs_frequency_secs: obs_freq,
             batch: algo.decision_batch(data.max_len(), &config),
-            scheduler: SchedulerConfig::default(),
+            ..ReplayOptions::default()
         };
         group.bench_with_input(
             BenchmarkId::new(algo.name(), "PowerCons"),

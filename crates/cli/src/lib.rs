@@ -17,12 +17,12 @@ use etsc_eval::report::render_matrix_status;
 use etsc_eval::supervisor::SupervisorOptions;
 use etsc_eval::{CommonOpts, FaultPlan, MatrixRunner, TriggerCellResult};
 use etsc_net::{
-    AdmissionConfig, Client, ClientConfig, Endpoint, NetError, RouterBuilder, ServerBuilder,
+    AdmissionConfig, Backpressure, Client, ClientConfig, Endpoint, NetError, RouterBuilder,
+    ServerBuilder,
 };
 use etsc_serve::{
-    fit_model, fit_triggered_model, load_resilient, replay_dataset, Backpressure, BrownoutConfig,
-    CodelConfig, DeadlineConfig, FallbackPolicy, ReplayOptions, SchedulerConfig, StoredModel,
-    SupervisionConfig,
+    fit_model, fit_triggered_model, load_resilient, replay_dataset, BrownoutConfig, CodelConfig,
+    DeadlineConfig, FallbackPolicy, ReplayOptions, StoredModel,
 };
 use etsc_trigger::{CalibrationKind, TriggerKind, TriggerSpec};
 
@@ -75,15 +75,15 @@ commands:
                      --save FILE [--seed N] [--budget-secs N]
                      [--height-scale S] [--length-scale S]
   serve              replay a dataset through a saved model as
-                     concurrent streaming sessions, or (with --listen)
-                     serve the model over TCP
+                     concurrent streaming sessions (lossless and
+                     unqueued, partitioned over --workers threads), or
+                     (with --listen) serve the model over TCP
                      --model FILE (--replay NAME | --data FILE --vars K)
-                     [--sessions N] [--workers N] [--queue N] [--shed]
+                     [--sessions N] [--workers N]
                      [--obs-freq SECS] [--height-scale S]
                      [--length-scale S] [--seed N]
                      [--deadline-ms N] [--fallback wait|prior|decide-now]
-                     [--max-restarts N] [--faults SPEC]
-                     [--trace FILE] [--metrics FILE]
+                     [--faults SPEC] [--trace FILE] [--metrics FILE]
                      network mode: --model FILE --listen ADDR
                      [--max-conns N] [--queue N] [--shed]
                      [--event-loops N] (0 = auto-size to the machine)
@@ -663,6 +663,17 @@ pub fn run(command: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliE
             if let Some(addr) = flags.get("listen") {
                 return serve_listen(addr, flags, out);
             }
+            // The CLI ignores unknown flags, so the queueing flags only
+            // `--listen` takes are refused here instead of doing nothing.
+            if let Some(flag) = ["queue", "shed", "max-restarts"]
+                .into_iter()
+                .find(|f| flags.contains_key(*f))
+            {
+                return Err(CliError::Usage(format!(
+                    "--{flag} does not apply to replay: replay is lossless and unqueued \
+                     (--queue and --shed size the outbound queue of --listen)"
+                )));
+            }
             let model_path = required(flags, "model")?;
             let faults = parse_faults(flags)?;
             let mut stored = match &faults {
@@ -736,27 +747,14 @@ pub fn run(command: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliE
             let options = ReplayOptions {
                 obs_frequency_secs: parse(flags, "obs-freq", default_freq)?,
                 batch,
-                scheduler: SchedulerConfig {
-                    workers: parse(flags, "workers", 4_usize)?,
-                    queue_capacity: parse(flags, "queue", 1024_usize)?,
-                    backpressure: if parse(flags, "shed", false)? {
-                        Backpressure::Shed
-                    } else {
-                        Backpressure::Block
-                    },
-                    deadline,
-                    supervision: SupervisionConfig {
-                        max_restarts: parse(flags, "max-restarts", 3_usize)?,
-                        ..SupervisionConfig::default()
-                    },
-                    faults,
-                    obs: obs.clone(),
-                },
+                workers: parse(flags, "workers", 4_usize)?,
+                deadline,
+                faults,
+                obs: obs.clone(),
             };
             let outcome = replay_dataset(&stored, &data, &options);
-            // Flush the registry BEFORE propagating a replay failure: a
-            // run whose scheduler shed its final batch must still leave
-            // the shed counts in the scrape artifact.
+            // Flush the registry BEFORE propagating a replay failure, so
+            // a failed run still leaves its counts in the scrape artifact.
             opts.export(&obs)
                 .map_err(|e| CliError::Runtime(e.to_string()))?;
             let outcome = outcome.map_err(|e| CliError::Runtime(format!("replay failed: {e}")))?;
@@ -1612,56 +1610,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_flushes_metrics_even_when_shedding() {
-        let dir = std::env::temp_dir().join("etsc-cli-test-shed");
-        std::fs::create_dir_all(&dir).unwrap();
-        let model_path = dir.join("shed-ects.model");
-        let model_str = model_path.to_str().unwrap();
-        run_to_string(
-            "train",
-            &flags(&[
-                ("dataset", "PowerCons"),
-                ("algo", "ECTS"),
-                ("height-scale", "0.15"),
-                ("length-scale", "0.3"),
-                ("save", model_str),
-            ]),
-        )
-        .unwrap();
-        // A one-slot queue under shed policy with slowed workers must
-        // drop observations — and the dropped count has to reach the
-        // scrape artifact even though shedding starves the replay.
-        let metrics = dir.join("shed.prom");
-        run_to_string(
-            "serve",
-            &flags(&[
-                ("model", model_str),
-                ("replay", "PowerCons"),
-                ("height-scale", "0.15"),
-                ("length-scale", "0.3"),
-                ("sessions", "16"),
-                ("workers", "1"),
-                ("queue", "1"),
-                ("shed", "true"),
-                ("faults", "seed=3,delay-rate=1.0,delay-ms=5"),
-                ("metrics", metrics.to_str().unwrap()),
-            ]),
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&metrics).unwrap();
-        etsc_obs::validate_prometheus(&text).unwrap();
-        let shed: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("serve_shed_total "))
-            .expect("serve_shed_total exported")
-            .trim()
-            .parse()
-            .unwrap();
-        assert!(shed > 0, "expected sheds in:\n{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn serve_listen_and_predict_connect_roundtrip() {
         let dir = std::env::temp_dir().join("etsc-cli-test-net");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1957,5 +1905,17 @@ mod tests {
             ),
             Err(CliError::Usage(_))
         ));
+        // Replay is lossless and unqueued: its removed queueing flags
+        // are refused, not silently ignored.
+        for flag in ["queue", "shed", "max-restarts"] {
+            let err = run_to_string(
+                "serve",
+                &flags(&[("model", "m.etsc"), ("replay", "PowerCons"), (flag, "1")]),
+            );
+            assert!(
+                matches!(&err, Err(CliError::Usage(m)) if m.contains("lossless and unqueued")),
+                "--{flag}: {err:?}"
+            );
+        }
     }
 }

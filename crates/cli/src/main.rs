@@ -12,8 +12,8 @@
 //! etsc matrix   [--datasets A,B,..] [--algos X,Y,..] [--journal FILE] [--resume] [--budget-secs N] [--retries N] [--threads N]
 //! etsc stream   (--dataset NAME | --data FILE --vars K) --algo NAME [--instance I] [--seed N]
 //! etsc train    (--dataset NAME | --data FILE --vars K) --algo NAME --save FILE [--seed N] [--budget-secs N]
-//! etsc serve    --model FILE (--replay NAME | --data FILE --vars K) [--sessions N] [--workers N] [--queue N] [--shed] [--obs-freq SECS]
-//!               [--deadline-ms N] [--fallback wait|prior|decide-now] [--max-restarts N] [--faults SPEC]
+//! etsc serve    --model FILE (--replay NAME | --data FILE --vars K) [--sessions N] [--workers N] [--obs-freq SECS]
+//!               [--deadline-ms N] [--fallback wait|prior|decide-now] [--faults SPEC]
 //! etsc serve    --model FILE --listen ADDR [--max-conns N] [--queue N] [--shed] [--deadline-ms N] [--fallback POLICY]
 //!               [--faults SPEC --fault-sessions N] [--duration-secs N] [--admission] [--admission-open-rate R]
 //!               [--codel-target-ms N] [--brownout-high-ms N] [--brownout-tighten-ms N]

@@ -1,8 +1,9 @@
 //! # etsc-net
 //!
-//! The network edge of the streaming inference stack: everything the
-//! in-process `etsc-serve` scheduler can do, over a TCP socket, with
-//! zero dependencies beyond `std::net`.
+//! The network edge of the streaming inference stack: the sessions
+//! `etsc-serve` replays in-process, served over a TCP socket through
+//! the same [`etsc_serve::SessionTable`], with zero dependencies
+//! beyond `std::net`.
 //!
 //! * [`proto`] — the versioned, length-prefixed, CRC-protected binary
 //!   wire protocol (Hello/OpenSession/Observe/Decision/CloseSession/
@@ -19,8 +20,9 @@
 //!   event-loop threads, each owning a [`poll::Poller`] over its share
 //!   of nonblocking connections (dealt round-robin at accept), reads
 //!   drained to `EWOULDBLOCK`, vectored writes from pooled buffers,
-//!   bridging into [`etsc_serve::StreamSession`] (deadlines, fallback
-//!   policies, Block/Shed backpressure), overload control when
+//!   bridging into an [`etsc_serve::SessionTable`] (deadlines, fallback
+//!   policies, panic containment) with Block/Shed backpressure on the
+//!   outbound queue, overload control when
 //!   [`AdmissionConfig`] is armed — CoDel-style shedding on measured
 //!   sojourn, per-client token-bucket open limits, the brownout
 //!   degradation ladder, and expired-deadline discard of queued dead
@@ -80,4 +82,4 @@ pub use proto::{
     PROTO_VERSION,
 };
 pub use router::{Router, RouterConfig, RouterStats, ShardSnapshot};
-pub use server::{AdmissionConfig, NetServer, ServerConfig, ServerStats};
+pub use server::{AdmissionConfig, Backpressure, NetServer, ServerConfig, ServerStats};

@@ -35,13 +35,13 @@ use etsc_adapt::FeedbackSink;
 use etsc_data::Dataset;
 use etsc_eval::faults::FaultPlan;
 use etsc_obs::Obs;
-use etsc_serve::{Backpressure, DeadlineConfig, StoredModel};
+use etsc_serve::{DeadlineConfig, StoredModel};
 
 use crate::client::{Client, ClientConfig, NetError};
 use crate::fleet::{run_fleet, FleetOptions, FleetReport};
 use crate::proto::{MAX_FRAME_BYTES, PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, PROTO_MINOR};
 use crate::router::{Router, RouterConfig};
-use crate::server::{AdmissionConfig, NetServer, ServerConfig};
+use crate::server::{AdmissionConfig, Backpressure, NetServer, ServerConfig};
 
 /// A config combination the builders refuse to produce. Carries the
 /// knob that failed and why, so the fix is one grep away.

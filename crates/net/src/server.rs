@@ -7,35 +7,37 @@
 //! loops through per-loop inboxes plus a poller wake. Every socket is
 //! nonblocking: reads pump the frame decoder until `WouldBlock`,
 //! writes drain a per-connection outbound queue with vectored writes,
-//! arming `EPOLLOUT` only while bytes are pending. The queue honours
-//! the scheduler's [`Backpressure`] contract — `Block` pauses the
-//! connection's *reads* until the queue drains below its cap
-//! (lossless, bounded by what was already read), `Shed` drops the
-//! frame and counts it. Deadlines and fallback policies are the
-//! session's own ([`etsc_serve::DeadlineConfig`]); the server adds the
-//! network concerns: connection caps with accept-time shedding, a
-//! slow-loris idle guard, seeded fault injection on the evaluation
-//! path, rev-2 `ObserveBatch`/`DecisionBatch` pipelining for peers
-//! that negotiated it, and a graceful drain that force-decides
-//! in-flight sessions before the socket closes.
+//! arming `EPOLLOUT` only while bytes are pending. A full queue applies
+//! the configured [`Backpressure`]: `Block` pauses the connection's
+//! *reads* until the queue drains below its cap (lossless, bounded by
+//! what was already read), `Shed` drops the frame and counts it.
+//! Each connection keeps its sessions in an
+//! [`etsc_serve::SessionTable`], the table replay evaluates through
+//! too: deadlines and fallback policies, seeded panic/delay injection
+//! and panic containment are the table's. The server adds the network
+//! concerns: connection caps with accept-time shedding, a slow-loris
+//! idle guard, propagated-deadline expiry, admission and brownout,
+//! rev-2 `ObserveBatch`/`DecisionBatch` pipelining for peers that
+//! negotiated it, and a graceful drain that force-decides in-flight
+//! sessions before the socket closes.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IoSlice, Write as _};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use etsc_adapt::{FeedbackEvent, FeedbackSink};
+use etsc_core::{EarlyPrediction, EtscError};
 use etsc_eval::experiment::RunConfig;
 use etsc_eval::faults::{FaultPlan, FaultSchedule};
 use etsc_obs::{HistogramHandle, Obs};
 use etsc_serve::{
-    Backpressure, BrownoutConfig, BrownoutController, BrownoutLevel, CodelConfig, CodelController,
-    DeadlineConfig, FallbackKind, FallbackPolicy, PressureSensor, StoredModel, StreamSession,
+    BrownoutConfig, BrownoutController, BrownoutLevel, CodelConfig, CodelController,
+    DeadlineConfig, FallbackKind, FallbackPolicy, PressureSensor, SessionTable, Step, StoredModel,
     TokenBucket,
 };
 
@@ -87,6 +89,16 @@ impl Default for AdmissionConfig {
             tightened_deadline: Duration::from_millis(10),
         }
     }
+}
+
+/// What a connection's full outbound queue does to the next frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backpressure {
+    /// Enqueue it anyway and pause the connection's reads until the
+    /// queue drains below its cap: lossless.
+    Block,
+    /// Drop the frame and count it.
+    Shed,
 }
 
 /// Tuning knobs for [`NetServer`]. Prefer building this through
@@ -892,7 +904,7 @@ impl EventLoop {
             pending_drain: false,
             closing: None,
             pending_decisions: Vec::new(),
-            sessions: HashMap::new(),
+            table: SessionTable::new(gen.model.classifier(), gen.batch),
             finished: HashSet::new(),
             decided: HashMap::new(),
             decided_order: VecDeque::new(),
@@ -1087,7 +1099,8 @@ struct Conn {
     /// Verdicts awaiting coalescing into a `DecisionBatch` (rev-2
     /// peers only), flushed after each pump.
     pending_decisions: Vec<BatchDecision>,
-    sessions: HashMap<u64, SessionEntry<'static>>,
+    /// Open sessions, evaluated against the pinned generation.
+    table: SessionTable<'static>,
     /// Ids that reached a terminal state; late frames for them are
     /// ignored rather than UnknownSession errors.
     finished: HashSet<u64>,
@@ -1112,11 +1125,6 @@ struct DecidedInfo {
     /// Observed values, one row per variable; empty unless a feedback
     /// sink is configured (no reason to hold series hostage otherwise).
     rows: Vec<Vec<f64>>,
-}
-
-struct SessionEntry<'m> {
-    session: StreamSession<'m>,
-    seq: u64,
 }
 
 enum CloseReason {
@@ -1347,7 +1355,7 @@ impl Conn {
                 Handled::Observe
             }
             Frame::CloseSession { session } => {
-                if self.sessions.remove(&session).is_some() {
+                if self.table.remove(session).is_some() {
                     self.finished.insert(session);
                     shared.count(|s| &s.sessions_abandoned, "net_sessions_abandoned_total");
                 }
@@ -1443,14 +1451,11 @@ impl Conn {
                 return;
             }
         }
-        if self.sessions.len() >= shared.config.max_sessions_per_conn {
+        if self.table.len() >= shared.config.max_sessions_per_conn {
             self.send(Frame::error(
                 ErrorCode::SessionLimit,
                 Some(id),
-                format!(
-                    "connection already has {} open sessions",
-                    self.sessions.len()
-                ),
+                format!("connection already has {} open sessions", self.table.len()),
             ));
             return;
         }
@@ -1465,7 +1470,7 @@ impl Conn {
             ));
             return;
         }
-        if self.sessions.contains_key(&id) {
+        if self.table.contains(id) {
             self.send(Frame::error(
                 ErrorCode::BadFrame,
                 Some(id),
@@ -1475,21 +1480,12 @@ impl Conn {
         }
         // A resume makes the id live again.
         self.finished.remove(&id);
-        let mut session = match StreamSession::new(
-            self.gen.model.classifier(),
-            vars,
-            expected_len,
-            self.gen.batch,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                self.send(Frame::error(ErrorCode::Internal, Some(id), e.to_string()));
-                return;
-            }
-        };
-        session.set_deadline(self.effective_deadline(deadline_ms));
-        let seq = shared.session_seq.fetch_add(1, Ordering::SeqCst);
-        self.sessions.insert(id, SessionEntry { session, seq });
+        let deadline = self.effective_deadline(deadline_ms);
+        let seq = shared.session_seq.fetch_add(1, Ordering::SeqCst) as usize;
+        if let Err(e) = self.table.open(id, seq, vars, expected_len, deadline) {
+            self.send(Frame::error(ErrorCode::Internal, Some(id), e.to_string()));
+            return;
+        }
         if resume {
             shared.count(|s| &s.sessions_resumed, "net_sessions_resumed_total");
         } else {
@@ -1536,7 +1532,7 @@ impl Conn {
         if self.finished.contains(&id) {
             return; // late frame for a decided/abandoned session
         }
-        let Some(entry) = self.sessions.get_mut(&id) else {
+        let Some(session) = self.table.session(id) else {
             self.send(Frame::error(
                 ErrorCode::UnknownSession,
                 Some(id),
@@ -1544,12 +1540,10 @@ impl Conn {
             ));
             return;
         };
-        let expected_step = entry.session.observed() as u64 + 1;
-        let seq = entry.seq;
+        let expected_step = session.observed() as u64 + 1;
         if step != expected_step {
             self.fail_session(
                 id,
-                seq,
                 ErrorCode::BadFrame,
                 &format!("observation step {step} out of order (expected {expected_step})"),
             );
@@ -1566,7 +1560,6 @@ impl Conn {
             );
             self.fail_session(
                 id,
-                seq,
                 ErrorCode::Expired,
                 &format!("deadline of {deadline_ms}ms lapsed before evaluation"),
             );
@@ -1575,75 +1568,12 @@ impl Conn {
         // Brownout `DecideNow`: answer from what the session has seen
         // instead of evaluating further — the cheapest verdict that is
         // still the algorithm's own, and one less session to feed.
+        // Counted as a degraded decision; the wire kind says whether
+        // the verdict was forced from observed data or fell back to the
+        // prior.
         if shared.brownout_level() >= BrownoutLevel::DecideNow {
-            self.force_decide_now(id, seq);
-            return;
-        }
-        let Some(entry) = self.sessions.get_mut(&id) else {
-            return; // unreachable: nothing above removed the session
-        };
-        let (panic_due, delay) = match &shared.schedule {
-            Some(sched) => {
-                let s = seq as usize;
-                let t = step as usize;
-                (sched.panics_at(s, t), sched.delay_at(s, t))
-            }
-            None => (false, None),
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if panic_due {
-                panic!("injected fault: worker panic (session seq {seq})");
-            }
-            entry.session.push_with_delay(row, delay)
-        }));
-        match outcome {
-            Ok(Ok(None)) => {}
-            Ok(Ok(Some(p))) => {
-                self.finish_decided(id, p.label as u64, p.prefix_len as u64, false);
-            }
-            Ok(Err(e)) => {
-                let code = match &e {
-                    etsc_core::EtscError::IncompatibleInstance(_) => ErrorCode::Incompatible,
-                    _ => ErrorCode::Internal,
-                };
-                self.fail_session(id, seq, code, &e.to_string());
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                shared.count(|s| &s.worker_panics, "net_worker_panics_total");
-                shared.config.obs.tracer.event_under(
-                    "net.worker.panic",
-                    shared.serve_span,
-                    &[
-                        ("conn", &self.conn_id.to_string()),
-                        ("session", &id.to_string()),
-                        ("seq", &seq.to_string()),
-                        ("panic", &msg),
-                    ],
-                );
-                self.fail_session(
-                    id,
-                    seq,
-                    ErrorCode::Internal,
-                    &format!("evaluation panicked: {msg}"),
-                );
-            }
-        }
-    }
-
-    /// Forces the session's verdict from its current state — the
-    /// brownout ladder's `DecideNow` rung. Counted as a degraded
-    /// decision; the wire kind says whether the verdict was forced
-    /// from observed data or fell back to the prior.
-    fn force_decide_now(&mut self, id: u64, seq: u64) {
-        let shared = Arc::clone(&self.shared);
-        let prior = self.gen.info.prior_label;
-        let Some(entry) = self.sessions.get_mut(&id) else {
-            return;
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| entry.session.force_decide(prior)));
-        match outcome {
-            Ok(Ok(p)) => {
+            let step = self.table.force(id, self.gen.info.prior_label);
+            if let Some(Step::Decided(..)) = step {
                 shared.count(|s| &s.decisions_degraded, "net_decisions_degraded_total");
                 shared.config.obs.tracer.event_under(
                     "net.session.degraded",
@@ -1654,30 +1584,75 @@ impl Conn {
                         ("level", shared.brownout_level().name()),
                     ],
                 );
-                self.finish_decided(id, p.label as u64, p.prefix_len as u64, false);
             }
-            Ok(Err(e)) => {
-                self.fail_session(id, seq, ErrorCode::Internal, &e.to_string());
+            self.settle(id, step, false);
+            return;
+        }
+        let step = self.table.push(id, row, shared.schedule.as_ref());
+        self.settle(id, step, false);
+    }
+
+    /// Answers what the session table did to session `id`: a decision
+    /// frame, a failure error, or nothing while it is still pending.
+    /// `drain` marks decisions forced by the graceful drain.
+    fn settle(&mut self, id: u64, step: Option<Step>, drain: bool) {
+        match step {
+            None | Some(Step::Pending) => {}
+            Some(Step::Decided(prediction, fallback)) => {
+                self.finish_decided(id, prediction, fallback, drain);
             }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
+            Some(Step::Failed(e)) => {
+                let code = match &e {
+                    EtscError::IncompatibleInstance(_) => ErrorCode::Incompatible,
+                    _ => ErrorCode::Internal,
+                };
+                self.fail_session(id, code, &e.to_string());
+            }
+            Some(Step::Panicked(msg)) => {
+                let shared = Arc::clone(&self.shared);
                 shared.count(|s| &s.worker_panics, "net_worker_panics_total");
-                self.fail_session(id, seq, ErrorCode::Internal, &msg);
+                shared.config.obs.tracer.event_under(
+                    "net.worker.panic",
+                    shared.serve_span,
+                    &[
+                        ("conn", &self.conn_id.to_string()),
+                        ("session", &id.to_string()),
+                        ("seq", &self.seq_of(id)),
+                        ("panic", &msg),
+                    ],
+                );
+                self.fail_session(
+                    id,
+                    ErrorCode::Internal,
+                    &format!("evaluation panicked: {msg}"),
+                );
             }
         }
     }
 
-    fn finish_decided(&mut self, id: u64, label: u64, prefix_len: u64, drain: bool) {
+    /// Session `id`'s arrival number, as trace events print it.
+    fn seq_of(&self, id: u64) -> String {
+        self.table
+            .seq(id)
+            .map_or_else(String::new, |seq| seq.to_string())
+    }
+
+    fn finish_decided(
+        &mut self,
+        id: u64,
+        prediction: EarlyPrediction,
+        fallback: Option<FallbackKind>,
+        drain: bool,
+    ) {
         let shared = Arc::clone(&self.shared);
-        let removed = self.sessions.remove(&id);
+        let removed = self.table.remove(id);
         self.finished.insert(id);
-        let kind = removed.as_ref().map_or(DecisionKind::Genuine, |e| {
-            decision_kind(e.session.fallback())
-        });
+        let kind = decision_kind(fallback);
+        let (label, prefix_len) = (prediction.label as u64, prediction.prefix_len as u64);
         // Remember the verdict so late ground truth can be graded; the
         // observed series rides along only when a sink will refit on it.
         let rows = match (&shared.config.feedback, removed) {
-            (Some(_), Some(entry)) => entry.session.series().to_vec(),
+            (Some(_), Some(session)) => session.series().to_vec(),
             _ => Vec::new(),
         };
         if self.decided.len() >= shared.config.max_sessions_per_conn {
@@ -1792,9 +1767,10 @@ impl Conn {
         }
     }
 
-    fn fail_session(&mut self, id: u64, seq: u64, code: ErrorCode, message: &str) {
+    fn fail_session(&mut self, id: u64, code: ErrorCode, message: &str) {
         let shared = Arc::clone(&self.shared);
-        self.sessions.remove(&id);
+        let seq = self.seq_of(id);
+        self.table.remove(id);
         self.finished.insert(id);
         shared.count(|s| &s.sessions_failed, "net_sessions_failed_total");
         shared.config.obs.tracer.event_under(
@@ -1803,7 +1779,7 @@ impl Conn {
             &[
                 ("conn", &self.conn_id.to_string()),
                 ("session", &id.to_string()),
-                ("seq", &seq.to_string()),
+                ("seq", &seq),
                 ("code", &code.to_string()),
             ],
         );
@@ -1815,28 +1791,9 @@ impl Conn {
     /// drain that sheds its own answers would defeat its purpose — and
     /// the close path flushes them with a blocking, bounded write.
     fn drain(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let prior = self.gen.info.prior_label;
-        let ids: Vec<u64> = self.sessions.keys().copied().collect();
-        for id in ids {
-            let Some(entry) = self.sessions.get_mut(&id) else {
-                continue;
-            };
-            let seq = entry.seq;
-            let outcome = catch_unwind(AssertUnwindSafe(|| entry.session.force_decide(prior)));
-            match outcome {
-                Ok(Ok(p)) => {
-                    self.finish_decided(id, p.label as u64, p.prefix_len as u64, true);
-                }
-                Ok(Err(e)) => {
-                    self.fail_session(id, seq, ErrorCode::Internal, &e.to_string());
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    shared.count(|s| &s.worker_panics, "net_worker_panics_total");
-                    self.fail_session(id, seq, ErrorCode::Internal, &msg);
-                }
-            }
+        for id in self.table.ids() {
+            let step = self.table.force(id, self.gen.info.prior_label);
+            self.settle(id, step, true);
         }
         self.flush_decisions();
         // Announce the *reason* before the Shutdown frame: clients and
@@ -1854,8 +1811,8 @@ impl Conn {
     /// idle timeout). Returns how many sessions were abandoned.
     fn abandon_all(&mut self) -> usize {
         let shared = Arc::clone(&self.shared);
-        let n = self.sessions.len();
-        for (id, _) in self.sessions.drain() {
+        let n = self.table.len();
+        for (id, _) in self.table.drain() {
             self.finished.insert(id);
             shared.count(|s| &s.sessions_abandoned, "net_sessions_abandoned_total");
         }
@@ -1873,15 +1830,12 @@ impl Conn {
         let shared = Arc::clone(&self.shared);
         if self.out.over_cap() {
             match policy {
-                // The outbound queue has no sojourn signal of its own;
-                // adaptive admission governs ingress, so a full queue
-                // under `Adaptive` sheds like `Shed`. `Block` enqueues
-                // past the cap — losslessly bounded, because a full
-                // queue also pauses this connection's reads.
-                Backpressure::Shed | Backpressure::Adaptive(_) => {
+                Backpressure::Shed => {
                     shared.count(|s| &s.frames_shed, "net_frames_shed_total");
                     return;
                 }
+                // Enqueues past the cap — losslessly bounded, because a
+                // full queue also pauses this connection's reads.
                 Backpressure::Block => {}
             }
         }
@@ -2003,15 +1957,5 @@ fn decision_kind(fallback: Option<FallbackKind>) -> DecisionKind {
         Some(FallbackKind::DeadlineForced) => DecisionKind::DeadlineForced,
         Some(FallbackKind::DrainPrior) => DecisionKind::DrainPrior,
         Some(FallbackKind::DrainForced) => DecisionKind::DrainForced,
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }

@@ -6,7 +6,7 @@
 //! values, not bucket interpolations. This type started life as
 //! `etsc_eval::histogram::LatencyHistogram` (streaming decision
 //! latencies) and was generalised here so the metrics registry, the
-//! serve scheduler, and the evaluation runner all share one recorder.
+//! serving replay, and the evaluation runner all share one recorder.
 
 /// An exact-quantile sample recorder.
 ///

@@ -3,7 +3,7 @@
 //! Dependency-free observability for the ETSC framework: the paper's
 //! headline numbers are *timing* numbers (Table 6 training costs,
 //! Figure 13 online-feasibility ratios), so every runner and the
-//! streaming scheduler report through this crate instead of ad-hoc
+//! streaming replay report through this crate instead of ad-hoc
 //! `Instant` bookkeeping.
 //!
 //! * [`trace`] — a lock-cheap span/event tracer: RAII spans with

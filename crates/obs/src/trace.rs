@@ -5,7 +5,7 @@
 //! 1. **Near-zero cost when disabled.** A [`Tracer`] is an
 //!    `Option<Arc<…>>`; the disabled tracer never reads the clock,
 //!    touches thread-locals, or takes a lock, so instrumented hot
-//!    paths (the streaming scheduler, transform fits) pay one branch.
+//!    paths (the streaming replay, transform fits) pay one branch.
 //! 2. **Cheap when enabled.** Timestamps are microseconds relative to
 //!    the tracer's creation instant (one monotonic clock read per span
 //!    edge), span parentage comes from a thread-local stack (no lock),

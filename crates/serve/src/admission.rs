@@ -1,12 +1,12 @@
 //! Overload-admission primitives: token buckets, CoDel-style sojourn
 //! control, and the brownout degradation ladder.
 //!
-//! The scheduler's original backpressure was a static binary — block
-//! the producer or shed the observation. Neither answers the question
-//! production serving actually asks under sustained over-capacity
-//! load: *how much* work should be refused, and *how gracefully* can
-//! the rest degrade before anything is refused at all. This module
-//! supplies the three controllers that replace the binary:
+//! Static backpressure is a binary — block the producer or shed the
+//! work. Neither answers the question production serving actually
+//! asks under sustained over-capacity load: *how much* work should be
+//! refused, and *how gracefully* can the rest degrade before anything
+//! is refused at all. This module supplies the three controllers that
+//! replace the binary:
 //!
 //! * [`TokenBucket`] — per-client rate limiting, so one aggressive
 //!   client cannot starve the rest before global controls engage;
@@ -366,7 +366,7 @@ impl BrownoutController {
 }
 
 /// Lock-free pressure sensor shared between the threads that *feel*
-/// queueing delay (connection readers, scheduler workers) and the
+/// queueing delay (the connection event loops) and the
 /// brownout loop that samples it: records keep the peak sojourn since
 /// the last [`PressureSensor::drain`].
 #[derive(Debug, Default)]

@@ -13,18 +13,20 @@
 //!   series, feeding observations incrementally through the existing
 //!   [`etsc_core::StreamState`] machinery and re-evaluating per point or
 //!   per prefix batch (ECEC/TEASER semantics);
-//! * [`scheduler`] — a fixed worker pool multiplexing many sessions with
-//!   bounded ingress queues and explicit backpressure (block or shed).
-//!   Workers are supervised: a panic fails only the in-flight session
-//!   and the worker restarts (bounded, with exponential backoff);
-//! * [`admission`] — the overload controllers shared by the scheduler
-//!   and the network edge: per-client token buckets, CoDel-style
-//!   sojourn-keyed adaptive admission, and the brownout degradation
-//!   ladder with hysteresis;
-//! * [`replay`] — replays a whole dataset through the scheduler at a
-//!   dataset's observation frequency and reports the *measured*
-//!   Figure-13 ratio (`decision_latency / obs_interval`) next to the
-//!   offline verdict of [`etsc_eval::online`].
+//! * [`table`] — the [`SessionTable`] both replay and the network
+//!   server evaluate sessions through: it opens sessions with their
+//!   deadline and arrival number, injects seeded panics and delays,
+//!   contains panics so one fails only its own session, and forces
+//!   decisions;
+//! * [`admission`] — the overload controllers of the network edge:
+//!   per-client token buckets, CoDel-style sojourn-keyed adaptive
+//!   admission, and the brownout degradation ladder with hysteresis;
+//! * [`replay`] — replays a whole dataset as sessions partitioned over
+//!   a few threads, each feeding its own table straight from the
+//!   dataset (lossless, unqueued), at the dataset's observation
+//!   frequency, and reports the *measured* Figure-13 ratio
+//!   (`decision_latency / obs_interval`) next to the offline verdict of
+//!   [`etsc_eval::online`].
 //!
 //! Robustness is first-class: sessions can carry decision deadlines
 //! that degrade to a configurable fallback verdict, the model store is
@@ -35,20 +37,18 @@
 
 pub mod admission;
 pub mod replay;
-pub mod scheduler;
 pub mod session;
 pub mod store;
+pub mod table;
 
 pub use admission::{
     BrownoutConfig, BrownoutController, BrownoutLevel, CodelConfig, CodelController,
     PressureSensor, TokenBucket,
 };
-pub use replay::{replay_dataset, ReplayOptions, ReplayOutcome};
-pub use scheduler::{
-    serve_sessions, Backpressure, SchedulerConfig, ServeReport, SessionOutcome, SupervisionConfig,
-};
+pub use replay::{replay_dataset, ReplayOptions, ReplayOutcome, ServeReport, SessionOutcome};
 pub use session::{DeadlineConfig, FallbackKind, FallbackPolicy, StreamSession};
 pub use store::{
     fit_model, fit_triggered_model, load_resilient, replicate, LoadOutcome, ModelMeta, SavedModel,
     ServeError, StoredModel, TriggerDesc,
 };
+pub use table::{SessionTable, Step};

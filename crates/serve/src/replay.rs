@@ -1,8 +1,9 @@
 //! Dataset replay: measure the Figure-13 ratio live.
 //!
-//! [`replay_dataset`] pushes every instance of a dataset through the
-//! [`crate::scheduler`] as a concurrent streaming session and derives
-//! the *measured* online-feasibility ratio
+//! [`replay_dataset`] streams every instance of a dataset as a session
+//! through a [`SessionTable`] — the same table the network server
+//! evaluates its sessions in — and derives the *measured*
+//! online-feasibility ratio
 //!
 //! ```text
 //! ratio = mean decision latency / (obs_frequency · batch_len)
@@ -15,14 +16,23 @@
 //! below 1.0), so the live verdict and the heatmap verdict can only
 //! disagree when the measured latency itself differs, never on the
 //! boundary.
+//!
+//! Replay is lossless and unqueued: `workers` scoped threads partition
+//! the sessions (`s % workers == w`), and each feeds its own table
+//! time-major straight from the dataset.
 
-use etsc_core::EtscError;
-use etsc_data::Dataset;
+use std::time::Instant;
+
+use etsc_core::{panic_message, EarlyClassifier, EarlyPrediction, EtscError};
+use etsc_data::{Dataset, MultiSeries};
 use etsc_eval::experiment::AlgoSpec;
 use etsc_eval::online::feasible_ratio;
+use etsc_eval::{FaultPlan, FaultSchedule};
+use etsc_obs::{Counter, Histogram as LatencyHistogram, Obs};
 
-use crate::scheduler::{serve_sessions, SchedulerConfig, ServeReport};
+use crate::session::{DeadlineConfig, FallbackKind, StreamSession};
 use crate::store::StoredModel;
+use crate::table::{SessionTable, Step};
 
 /// Replay parameters.
 #[derive(Debug, Clone)]
@@ -34,8 +44,120 @@ pub struct ReplayOptions {
     /// [`AlgoSpec::decision_batch`] for the paper's ECEC/TEASER batch
     /// credit.
     pub batch: usize,
-    /// Scheduler (workers, queue, backpressure) configuration.
-    pub scheduler: SchedulerConfig,
+    /// Threads sharing the sessions (≥ 1); session `s` lives on thread
+    /// `s % workers`.
+    pub workers: usize,
+    /// Per-evaluation decision deadline; `None` serves without one. Its
+    /// `prior_label` is replaced by the stored model's training prior.
+    pub deadline: Option<DeadlineConfig>,
+    /// Deterministic fault injection for chaos testing; `None` in
+    /// production.
+    pub faults: Option<FaultPlan>,
+    /// Observability context: session-lifecycle events (deadline
+    /// breach, fallback, worker panic) and `serve_*` metrics are
+    /// recorded here. Disabled by default.
+    pub obs: Obs,
+}
+
+impl Default for ReplayOptions {
+    fn default() -> ReplayOptions {
+        ReplayOptions {
+            obs_frequency_secs: 1.0,
+            batch: 1,
+            workers: 4,
+            deadline: None,
+            faults: None,
+            obs: Obs::disabled(),
+        }
+    }
+}
+
+/// How one session ended — every session gets exactly one outcome, so
+/// faults are attributable instead of silently folded into a count.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionOutcome {
+    /// The model committed a genuine early decision.
+    Decided(EarlyPrediction),
+    /// A deadline breach degraded the session to a fallback verdict.
+    Fallback {
+        /// The committed fallback prediction.
+        prediction: EarlyPrediction,
+        /// Which degraded path produced it.
+        kind: FallbackKind,
+    },
+    /// The session died (model error, or its evaluation panicked).
+    Failed(String),
+    /// The stream ended with no decision and no error.
+    Starved,
+}
+
+impl SessionOutcome {
+    /// The committed prediction, genuine or fallback.
+    pub fn prediction(&self) -> Option<EarlyPrediction> {
+        match self {
+            SessionOutcome::Decided(p) | SessionOutcome::Fallback { prediction: p, .. } => Some(*p),
+            SessionOutcome::Failed(_) | SessionOutcome::Starved => None,
+        }
+    }
+}
+
+/// What a replay produced, per session and in aggregate.
+#[derive(Debug)]
+pub struct ServeReport {
+    /// Final prediction per session; `None` when the session never
+    /// committed (session failure, or a stream that ended undecided).
+    pub decisions: Vec<Option<EarlyPrediction>>,
+    /// How each session ended, parallel to
+    /// [`ServeReport::decisions`].
+    pub outcomes: Vec<SessionOutcome>,
+    /// Sessions that ended without a decision.
+    pub dropped_decisions: usize,
+    /// Total re-evaluations across all sessions.
+    pub evals: usize,
+    /// Wall-clock latency of each re-evaluation (seconds).
+    pub eval_latency: LatencyHistogram,
+    /// Wall-clock duration of the whole replay (seconds).
+    pub wall_secs: f64,
+    /// Sessions that failed.
+    pub errors: usize,
+    /// The first failed session's error, in session order.
+    pub first_error: Option<String>,
+    /// Evaluation panics caught (injected or organic); each failed
+    /// only its own session.
+    pub worker_panics: usize,
+    /// Evaluations that exceeded the armed deadline (0 without one).
+    pub deadline_breaches: usize,
+    /// Sessions answered by a fallback verdict instead of a genuine
+    /// decision.
+    pub fallbacks: usize,
+    /// The exact fault coordinates injected, when a [`FaultPlan`] was
+    /// armed — lets callers attribute every degraded cell.
+    pub fault_schedule: Option<FaultSchedule>,
+}
+
+impl ServeReport {
+    /// Committed decisions (genuine or fallback).
+    pub fn committed(&self) -> usize {
+        self.decisions.iter().filter(|d| d.is_some()).count()
+    }
+
+    /// Sessions that ended [`SessionOutcome::Starved`] — no decision
+    /// and no attributable error.
+    pub fn starved(&self) -> usize {
+        self.outcomes
+            .iter()
+            .filter(|o| matches!(o, SessionOutcome::Starved))
+            .count()
+    }
+
+    /// Decision throughput over the replay wall-clock.
+    pub fn decisions_per_sec(&self) -> f64 {
+        if self.wall_secs > 0.0 {
+            self.committed() as f64 / self.wall_secs
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Everything one replay measured.
@@ -66,7 +188,7 @@ pub struct ReplayOutcome {
     pub obs_frequency_secs: f64,
     /// Decision batch length the ratio was computed against.
     pub batch_len: usize,
-    /// The raw scheduler report (shed/dropped counts, histograms).
+    /// The per-session report (outcomes, counts, latency histogram).
     pub report: ServeReport,
 }
 
@@ -86,7 +208,7 @@ impl ReplayOutcome {
         };
         let mut text = format!(
             "{} on {} — {} sessions\n\
-             decisions      {} committed, {} dropped, {} observations shed\n\
+             decisions      {} committed, {} dropped\n\
              accuracy       {:.4}\n\
              earliness      {:.4}\n\
              latency        mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms\n\
@@ -97,7 +219,6 @@ impl ReplayOutcome {
             self.sessions,
             self.report.committed(),
             self.report.dropped_decisions,
-            self.report.shed_observations,
             self.accuracy,
             self.earliness,
             self.mean_latency_secs * 1000.0,
@@ -111,13 +232,10 @@ impl ReplayOutcome {
             verdict,
         );
         let r = &self.report;
-        if r.worker_panics + r.worker_restarts + r.deadline_breaches + r.fallbacks > 0
-            || r.fault_schedule.is_some()
-        {
+        if r.worker_panics + r.deadline_breaches + r.fallbacks > 0 || r.fault_schedule.is_some() {
             text.push_str(&format!(
-                "degraded       {} worker panics, {} restarts, {} deadline breaches, {} fallback decisions, {} starved\n",
+                "degraded       {} worker panics, {} deadline breaches, {} fallback decisions, {} starved\n",
                 r.worker_panics,
-                r.worker_restarts,
                 r.deadline_breaches,
                 r.fallbacks,
                 r.starved(),
@@ -140,29 +258,109 @@ impl ReplayOutcome {
     }
 }
 
-/// Replays every instance of `data` through `model`'s scheduler and
-/// measures accuracy, latency, and the live Figure-13 ratio.
+/// Replays every instance of `data` through `stored` as concurrent
+/// streaming sessions and measures accuracy, latency, and the live
+/// Figure-13 ratio.
+///
+/// `options.workers` scoped threads share the sessions: thread `w` owns
+/// sessions `s % workers == w` in its own [`SessionTable`] and feeds
+/// them time-major (observation `t` of each of its sessions before
+/// observation `t + 1` of any) straight from the dataset, with no queue
+/// in between. A panic (injected or organic) fails only the session
+/// whose evaluation was in flight.
 ///
 /// # Errors
-/// Scheduler infrastructure failures; per-session errors land in the
-/// outcome's report instead.
+/// A replay thread that died outside the table's panic containment.
+/// Per-session model errors, panics, and degraded decisions are
+/// reported in the outcome's [`ServeReport`].
 pub fn replay_dataset(
     stored: &StoredModel,
     data: &Dataset,
     options: &ReplayOptions,
 ) -> Result<ReplayOutcome, EtscError> {
-    let mut scheduler = options.scheduler.clone();
-    if let Some(deadline) = scheduler.deadline.as_mut() {
+    let instances = data.instances();
+    let n = instances.len();
+    let workers = options.workers.max(1).min(n.max(1));
+    let obs = &options.obs;
+    let mut serve_span = obs.tracer.span("serve");
+    serve_span.attr("sessions", &n.to_string());
+    serve_span.attr("workers", &workers.to_string());
+    obs.metrics.gauge("serve_workers").set(workers as f64);
+    obs.metrics.counter("serve_sessions_total").add(n as u64);
+    let lens: Vec<usize> = instances.iter().map(MultiSeries::len).collect();
+    let feed = Feed {
+        model: stored.classifier(),
+        instances,
+        batch: options.batch,
+        workers,
         // The prior-class fallback verdict comes from the stored
         // model's training distribution, not from the caller.
-        deadline.prior_label = stored.meta.prior_label;
+        deadline: options.deadline.map(|d| DeadlineConfig {
+            prior_label: stored.meta.prior_label,
+            ..d
+        }),
+        schedule: options.faults.as_ref().map(|plan| plan.schedule(&lens)),
+        obs,
+        serve_id: serve_span.id(),
+        // Per-decision counters are resolved once here: a registry
+        // lookup (lock + name clone) per decision would dominate
+        // tracer overhead.
+        fed: obs.metrics.counter("serve_enqueued_total"),
+        decisions: obs.metrics.counter("serve_decisions_total"),
+        fallbacks: obs.metrics.counter("serve_fallbacks_total"),
+        breaches: obs.metrics.counter("serve_deadline_breaches_total"),
+        panics: obs.metrics.counter("serve_worker_panics_total"),
+    };
+    let started = Instant::now();
+    let parts: Vec<_> = std::thread::scope(|scope| {
+        let feed = &feed;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || feed.serve(w)))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let wall_secs = started.elapsed().as_secs_f64();
+    let mut outcomes = vec![SessionOutcome::Starved; n];
+    let mut eval_latency = LatencyHistogram::new();
+    let (mut evals, mut worker_panics) = (0, 0);
+    for part in parts {
+        let part = part.map_err(|payload| EtscError::Panicked {
+            message: format!("replay worker died: {}", panic_message(payload.as_ref())),
+        })?;
+        for (s, outcome) in part.outcomes {
+            outcomes[s] = outcome;
+        }
+        eval_latency.merge(&part.eval_latency);
+        evals += part.evals;
+        worker_panics += part.panics;
     }
-    let report = serve_sessions(
-        stored.classifier(),
-        data.instances(),
-        options.batch,
-        &scheduler,
-    )?;
+    obs.metrics
+        .histogram("serve_eval_latency_secs")
+        .merge_from(&eval_latency);
+    obs.metrics.counter("serve_evals_total").add(evals as u64);
+    let decisions: Vec<Option<EarlyPrediction>> =
+        outcomes.iter().map(SessionOutcome::prediction).collect();
+    let mut failures = outcomes.iter().filter_map(|o| match o {
+        SessionOutcome::Failed(message) => Some(message),
+        _ => None,
+    });
+    let report = ServeReport {
+        dropped_decisions: decisions.iter().filter(|d| d.is_none()).count(),
+        errors: failures.clone().count(),
+        first_error: failures.next().cloned(),
+        fallbacks: outcomes
+            .iter()
+            .filter(|o| matches!(o, SessionOutcome::Fallback { .. }))
+            .count(),
+        decisions,
+        outcomes,
+        evals,
+        deadline_breaches: eval_latency.over_deadline(),
+        eval_latency,
+        wall_secs,
+        worker_panics,
+        fault_schedule: feed.schedule,
+    };
     let mut correct = 0usize;
     let mut committed = 0usize;
     let mut earliness_sum = 0.0;
@@ -205,13 +403,132 @@ pub fn replay_dataset(
     })
 }
 
+/// What every replay thread shares: the model, the dataset, the armed
+/// deadline and fault schedule, and the resolved instruments.
+struct Feed<'a> {
+    model: &'a (dyn EarlyClassifier + Sync),
+    instances: &'a [MultiSeries],
+    batch: usize,
+    workers: usize,
+    deadline: Option<DeadlineConfig>,
+    schedule: Option<FaultSchedule>,
+    obs: &'a Obs,
+    serve_id: Option<u64>,
+    fed: Counter,
+    decisions: Counter,
+    fallbacks: Counter,
+    breaches: Counter,
+    panics: Counter,
+}
+
+/// One replay thread's tallies.
+#[derive(Default)]
+struct Partition {
+    outcomes: Vec<(usize, SessionOutcome)>,
+    eval_latency: LatencyHistogram,
+    evals: usize,
+    panics: usize,
+}
+
+impl Partition {
+    /// Folds a closed session's evaluation count and latencies in.
+    fn retire(&mut self, session: &StreamSession<'_>) {
+        self.evals += session.evals();
+        self.eval_latency.merge(session.latency());
+    }
+}
+
+impl Feed<'_> {
+    /// Thread `w`'s share of the replay: sessions `s % workers == w`,
+    /// fed time-major.
+    fn serve(&self, w: usize) -> Partition {
+        let mut part = Partition::default();
+        let mut table = SessionTable::new(self.model, self.batch);
+        let mine: Vec<usize> = (w..self.instances.len()).step_by(self.workers).collect();
+        for &s in &mine {
+            let inst = &self.instances[s];
+            if let Err(e) = table.open(s as u64, s, inst.vars(), inst.len(), self.deadline) {
+                part.outcomes
+                    .push((s, SessionOutcome::Failed(e.to_string())));
+            }
+        }
+        let schedule = self.schedule.as_ref();
+        let horizon = mine.iter().map(|&s| self.instances[s].len()).max();
+        // Counted locally and flushed once: an atomic add per
+        // observation is the largest tracer cost otherwise.
+        let mut fed = 0u64;
+        for t in 0..horizon.unwrap_or(0) {
+            for &s in &mine {
+                let (inst, id) = (&self.instances[s], s as u64);
+                if t >= inst.len() || !table.contains(id) {
+                    continue;
+                }
+                let mut row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, t)).collect();
+                if schedule.is_some_and(|sch| sch.nan_at(s, t + 1)) {
+                    // A poisoned sensor reading: every variable NaN.
+                    row.fill(f64::NAN);
+                }
+                fed += 1;
+                let breaches =
+                    |t: &SessionTable| t.session(id).map_or(0, |x| x.deadline_breaches());
+                let before = breaches(&table);
+                let Some(step) = table.push(id, &row, schedule) else {
+                    continue;
+                };
+                if breaches(&table) > before {
+                    self.breaches.inc();
+                    self.event("session.deadline_breach", &[("session", &s.to_string())]);
+                }
+                let outcome = match step {
+                    Step::Pending => continue,
+                    Step::Decided(prediction, None) => SessionOutcome::Decided(prediction),
+                    Step::Decided(prediction, Some(kind)) => {
+                        self.fallbacks.inc();
+                        self.event(
+                            "session.fallback",
+                            &[("session", &s.to_string()), ("kind", &format!("{kind:?}"))],
+                        );
+                        SessionOutcome::Fallback { prediction, kind }
+                    }
+                    Step::Failed(e) => SessionOutcome::Failed(e.to_string()),
+                    Step::Panicked(message) => {
+                        part.panics += 1;
+                        self.panics.inc();
+                        self.event("worker.panic", &[("message", &message)]);
+                        let message = format!("session {s}: {message}");
+                        SessionOutcome::Failed(EtscError::Panicked { message }.to_string())
+                    }
+                };
+                if outcome.prediction().is_some() {
+                    self.decisions.inc();
+                }
+                part.outcomes.push((s, outcome));
+                if let Some(session) = table.remove(id) {
+                    part.retire(&session);
+                }
+            }
+        }
+        self.fed.add(fed);
+        // A session still open here ended undecided: it stays Starved.
+        for (_, session) in table.drain() {
+            part.retire(&session);
+        }
+        part
+    }
+
+    fn event(&self, name: &str, attrs: &[(&str, &str)]) {
+        self.obs.tracer.event_under(name, self.serve_id, attrs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Backpressure;
+    use crate::session::FallbackPolicy;
     use crate::store::fit_model;
     use etsc_datasets::{GenOptions, PaperDataset};
     use etsc_eval::experiment::RunConfig;
+    use std::time::Duration;
 
     fn stored() -> (StoredModel, Dataset) {
         let data = PaperDataset::PowerCons.generate(GenOptions {
@@ -224,6 +541,10 @@ mod tests {
         (model, data)
     }
 
+    fn replay(model: &StoredModel, data: &Dataset, options: ReplayOptions) -> ServeReport {
+        replay_dataset(model, data, &options).unwrap().report
+    }
+
     #[test]
     fn replay_reports_ratio_and_verdict() {
         let (model, data) = stored();
@@ -233,13 +554,8 @@ mod tests {
             &data,
             &ReplayOptions {
                 obs_frequency_secs: 1000.0,
-                batch: 1,
-                scheduler: SchedulerConfig {
-                    workers: 2,
-                    queue_capacity: 64,
-                    backpressure: Backpressure::Block,
-                    ..SchedulerConfig::default()
-                },
+                workers: 2,
+                ..ReplayOptions::default()
             },
         )
         .unwrap();
@@ -257,11 +573,110 @@ mod tests {
             &data,
             &ReplayOptions {
                 obs_frequency_secs: 1e-12,
-                batch: 1,
-                scheduler: SchedulerConfig::default(),
+                ..ReplayOptions::default()
             },
         )
         .unwrap();
         assert_eq!(fast.feasible(), Some(false));
+    }
+
+    #[test]
+    fn decisions_match_predict_early_for_any_worker_count() {
+        let (model, data) = stored();
+        let mut evals = None;
+        for workers in [1, 2, 4] {
+            let report = replay(
+                &model,
+                &data,
+                ReplayOptions {
+                    workers,
+                    ..ReplayOptions::default()
+                },
+            );
+            assert_eq!(report.dropped_decisions, 0);
+            assert_eq!(report.errors, 0, "{:?}", report.first_error);
+            assert_eq!((report.worker_panics, report.fallbacks), (0, 0));
+            assert_eq!(report.eval_latency.len(), report.evals);
+            assert_eq!(*evals.get_or_insert(report.evals), report.evals);
+            for (s, outcome) in report.outcomes.iter().enumerate() {
+                let offline = model.classifier().predict_early(data.instance(s)).unwrap();
+                assert_eq!(*outcome, SessionOutcome::Decided(offline), "session {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn faults_fail_or_degrade_only_their_sessions_and_are_traced() {
+        let (model, data) = stored();
+        let obs = Obs::enabled();
+        // One injected panic, and a 20ms delay on half the sessions
+        // against a 5ms deadline; the caller's prior label is replaced
+        // by the stored one.
+        let report = replay(
+            &model,
+            &data,
+            ReplayOptions {
+                workers: 2,
+                deadline: Some(DeadlineConfig {
+                    deadline: Duration::from_millis(5),
+                    policy: FallbackPolicy::PriorClass,
+                    prior_label: usize::MAX,
+                }),
+                faults: Some(
+                    FaultPlan::parse("seed=7,panics=1,delay-rate=0.5,delay-ms=20").unwrap(),
+                ),
+                obs: obs.clone(),
+                ..ReplayOptions::default()
+            },
+        );
+        let schedule = report.fault_schedule.as_ref().unwrap();
+        assert_eq!((report.worker_panics, report.errors), (1, 1));
+        assert_eq!(report.starved(), 0);
+        assert!(report.fallbacks > 0 && report.deadline_breaches >= report.fallbacks);
+        for (s, outcome) in report.outcomes.iter().enumerate() {
+            match outcome {
+                SessionOutcome::Failed(_) => assert!(schedule.touches(s), "session {s}"),
+                SessionOutcome::Fallback { prediction, kind } => {
+                    assert!(schedule.touches(s), "session {s}");
+                    assert_eq!(*kind, FallbackKind::DeadlinePrior);
+                    assert_eq!(prediction.label, model.meta.prior_label);
+                }
+                // Siblings the schedule left alone match the offline run.
+                other if !schedule.touches(s) => {
+                    let offline = model.classifier().predict_early(data.instance(s)).unwrap();
+                    assert_eq!(*other, SessionOutcome::Decided(offline), "session {s}");
+                }
+                _ => {}
+            }
+        }
+        let tree = etsc_obs::TraceTree::build(&obs.tracer.records()).unwrap();
+        let roots = tree.roots();
+        assert_eq!(roots.len(), 1);
+        assert_eq!(tree.span(roots[0]).unwrap().name, "serve");
+        assert_eq!(tree.events_named("worker.panic").len(), 1);
+        assert_eq!(
+            tree.events_named("session.fallback").len(),
+            report.fallbacks
+        );
+        assert!(!tree.events_named("session.deadline_breach").is_empty());
+        for event in tree.events() {
+            assert_eq!(event.span, Some(roots[0]), "events join the serve span");
+        }
+        let counters = obs.metrics.snapshot_counters();
+        assert_eq!(counters["serve_sessions_total"] as usize, data.len());
+        assert_eq!(counters["serve_worker_panics_total"], 1);
+        assert_eq!(
+            counters["serve_decisions_total"] as usize,
+            report.committed()
+        );
+        assert_eq!(counters["serve_evals_total"] as usize, report.evals);
+        assert_eq!(
+            obs.metrics
+                .histogram("serve_eval_latency_secs")
+                .snapshot()
+                .len(),
+            report.eval_latency.len()
+        );
+        etsc_obs::validate_prometheus(&obs.metrics.render_prometheus()).unwrap();
     }
 }

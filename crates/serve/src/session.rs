@@ -254,22 +254,11 @@ impl<'m> StreamSession<'m> {
                     )));
                 }
                 FallbackPolicy::DecideNow => {
-                    let forced = match label {
-                        // The breaching evaluation itself produced the
-                        // algorithm's current best.
-                        Some(label) => Some(label),
-                        None => {
-                            let started = Instant::now();
-                            let forced = self.stream.observe(&prefix, true)?;
-                            self.record_eval(started.elapsed().as_secs_f64());
-                            forced
-                        }
-                    };
-                    let (label, kind) = match forced {
-                        Some(label) => (label, FallbackKind::DeadlineForced),
-                        None => (cfg.prior_label, FallbackKind::DeadlinePrior),
-                    };
-                    return Ok(Some(self.commit(label, t, Some(kind))));
+                    // The breaching evaluation itself may already have
+                    // produced the algorithm's current best.
+                    return self
+                        .commit_forced(&prefix, label, cfg.prior_label, false)
+                        .map(Some);
                 }
             }
         }
@@ -292,19 +281,41 @@ impl<'m> StreamSession<'m> {
         if let Some(p) = self.decided {
             return Ok(p);
         }
-        let t = self.values[0].len();
-        if t == 0 {
+        if self.observed() == 0 {
             return Ok(self.commit(prior_label, 0, Some(FallbackKind::DrainPrior)));
         }
         let prefix = MultiSeries::from_rows(self.values.clone()).map_err(EtscError::Data)?;
-        let started = Instant::now();
-        let label = self.stream.observe(&prefix, true)?;
-        self.record_eval(started.elapsed().as_secs_f64());
-        let (label, kind) = match label {
-            Some(label) => (label, FallbackKind::DrainForced),
-            None => (prior_label, FallbackKind::DrainPrior),
+        self.commit_forced(&prefix, None, prior_label, true)
+    }
+
+    /// The one forced-decision path: commits `current` (a label the
+    /// caller's evaluation already produced) or else the algorithm's
+    /// forced verdict on `prefix`, falling back to `prior_label` when
+    /// even that abstains. `drain` picks the `Drain*` kinds over the
+    /// `Deadline*` ones.
+    fn commit_forced(
+        &mut self,
+        prefix: &MultiSeries,
+        current: Option<usize>,
+        prior_label: usize,
+        drain: bool,
+    ) -> Result<EarlyPrediction, EtscError> {
+        let label = match current {
+            Some(label) => Some(label),
+            None => {
+                let started = Instant::now();
+                let forced = self.stream.observe(prefix, true)?;
+                self.record_eval(started.elapsed().as_secs_f64());
+                forced
+            }
         };
-        Ok(self.commit(label, t, Some(kind)))
+        let (label, kind) = match (label, drain) {
+            (Some(label), false) => (label, FallbackKind::DeadlineForced),
+            (Some(label), true) => (label, FallbackKind::DrainForced),
+            (None, false) => (prior_label, FallbackKind::DeadlinePrior),
+            (None, true) => (prior_label, FallbackKind::DrainPrior),
+        };
+        Ok(self.commit(label, self.observed(), Some(kind)))
     }
 
     /// Records one evaluation latency (against the armed deadline, if

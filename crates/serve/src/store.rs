@@ -300,8 +300,8 @@ pub enum SavedModel {
 
 impl SavedModel {
     /// The model as the trait object every downstream consumer
-    /// (sessions, scheduler, CLI) works against. `Sync` so the
-    /// scheduler's worker pool can share it.
+    /// (sessions, replay, CLI) works against. `Sync` so replay's
+    /// threads can share it.
     pub fn classifier(&self) -> &(dyn EarlyClassifier + Sync) {
         match self {
             SavedModel::Ecec(m) => m,

@@ -10,9 +10,7 @@
 
 use etsc::datasets::{GenOptions, PaperDataset};
 use etsc::eval::experiment::{AlgoSpec, RunConfig};
-use etsc::serve::{
-    fit_model, replay_dataset, Backpressure, ReplayOptions, SchedulerConfig, StoredModel,
-};
+use etsc::serve::{fit_model, replay_dataset, ReplayOptions, StoredModel};
 
 fn main() {
     // 1. A PowerCons-like dataset (reduced size for the example).
@@ -53,20 +51,17 @@ fn main() {
     );
 
     // 4. Replay every instance as a live session: observations arrive
-    //    one time point at a time, four workers multiplex the sessions,
-    //    and the blocking queue guarantees no observation is lost.
+    //    one time point at a time and four threads share the sessions,
+    //    each feeding its own straight from the dataset: nothing is
+    //    queued, so no observation is lost.
     let outcome = replay_dataset(
         &loaded,
         &data,
         &ReplayOptions {
             obs_frequency_secs: ds.spec().obs_frequency_secs,
             batch: algo.decision_batch(data.max_len(), &config),
-            scheduler: SchedulerConfig {
-                workers: 4,
-                queue_capacity: 256,
-                backpressure: Backpressure::Block,
-                ..SchedulerConfig::default()
-            },
+            workers: 4,
+            ..ReplayOptions::default()
         },
     )
     .expect("replay succeeds");

@@ -18,7 +18,8 @@
 //! * [`core`] — the ETSC algorithms and full-TSC models;
 //! * [`eval`] — the experiment harness behind every table and figure;
 //! * [`obs`] — span/event tracing and the metrics registry + exporters;
-//! * [`serve`] — streaming inference: model store, sessions, scheduler;
+//! * [`serve`] — streaming inference: model store, sessions, the
+//!   session table, and dataset replay;
 //! * [`net`] — the network edge: binary wire protocol, TCP server,
 //!   client library, and the socketed load generator;
 //! * [`adapt`] — online adaptation: label feedback, drift detection,

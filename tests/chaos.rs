@@ -25,7 +25,7 @@ use etsc::datasets::{GenOptions, PaperDataset};
 use etsc::eval::experiment::{AlgoSpec, RunConfig};
 use etsc::eval::FaultPlan;
 use etsc::serve::{
-    fit_model, load_resilient, serve_sessions, DeadlineConfig, FallbackPolicy, SchedulerConfig,
+    fit_model, load_resilient, replay_dataset, DeadlineConfig, FallbackPolicy, ReplayOptions,
     SessionOutcome, StoredModel,
 };
 
@@ -52,23 +52,22 @@ fn chaos_replay_zero_session_drops_and_full_attribution() {
     let data = hundred_sessions();
     let stored = stored_model(&data);
     let plan = FaultPlan::parse(PLAN).expect("plan parses");
-    let report = serve_sessions(
-        stored.classifier(),
-        data.instances(),
-        1,
-        &SchedulerConfig {
+    let report = replay_dataset(
+        &stored,
+        &data,
+        &ReplayOptions {
             workers: 4,
-            queue_capacity: 256,
             deadline: Some(DeadlineConfig {
                 deadline: Duration::from_millis(5),
                 policy: FallbackPolicy::PriorClass,
                 prior_label: stored.meta.prior_label,
             }),
             faults: Some(plan),
-            ..SchedulerConfig::default()
+            ..ReplayOptions::default()
         },
     )
-    .expect("the pool survives every injected fault");
+    .expect("the replay survives every injected fault")
+    .report;
     let schedule = report
         .fault_schedule
         .as_ref()
@@ -86,9 +85,8 @@ fn chaos_replay_zero_session_drops_and_full_attribution() {
     assert_eq!(report.outcomes.len(), 100);
     assert_eq!(report.starved(), 0, "no session may vanish");
 
-    // Every injected panic fired, was caught, and restarted a worker.
+    // Every injected panic fired and was caught.
     assert_eq!(report.worker_panics, schedule.injected_panics());
-    assert_eq!(report.worker_restarts, schedule.injected_panics());
 
     // Failures are attributable: a session may only fail where a fault
     // was injected, and each panic kills exactly one session.
@@ -175,13 +173,9 @@ fn chaos_corrupted_model_recovers_from_last_good_and_serves() {
 
     // The recovered model serves a clean replay bit-identically to the
     // original artifact.
-    let report = serve_sessions(
-        outcome.model.classifier(),
-        data.instances(),
-        1,
-        &SchedulerConfig::default(),
-    )
-    .expect("recovered model serves");
+    let report = replay_dataset(&outcome.model, &data, &ReplayOptions::default())
+        .expect("recovered model serves")
+        .report;
     assert_eq!(report.starved(), 0);
     assert_eq!(report.errors, 0, "{:?}", report.first_error);
     for (s, decision) in report.decisions.iter().enumerate() {

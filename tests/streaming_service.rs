@@ -8,7 +8,7 @@
 use etsc::datasets::{GenOptions, PaperDataset};
 use etsc::eval::experiment::{AlgoSpec, RunConfig, RunResult};
 use etsc::eval::online::online_cell;
-use etsc::serve::{fit_model, replay_dataset, ReplayOptions, SchedulerConfig, StoredModel};
+use etsc::serve::{fit_model, replay_dataset, ReplayOptions, StoredModel};
 
 fn verdicts(obs_frequency_secs: f64) -> (Option<bool>, bool) {
     let data = PaperDataset::PowerCons.generate(GenOptions {
@@ -28,7 +28,7 @@ fn verdicts(obs_frequency_secs: f64) -> (Option<bool>, bool) {
         &ReplayOptions {
             obs_frequency_secs,
             batch: algo.decision_batch(data.max_len(), &config),
-            scheduler: SchedulerConfig::default(),
+            ..ReplayOptions::default()
         },
     )
     .expect("replay runs");

@@ -1,11 +1,11 @@
-//! Streaming smoke test (run as a dedicated CI step): serve 100
-//! concurrent sessions of a small synthetic dataset through the
-//! blocking scheduler and assert that every session commits a decision
-//! — zero dropped decisions, zero shed observations, zero errors.
+//! Streaming smoke test (run as a dedicated CI step): replay 100
+//! concurrent sessions of a small synthetic dataset and assert that
+//! every session commits a decision — zero dropped decisions, zero
+//! starved sessions, zero errors.
 
 use etsc::datasets::{GenOptions, PaperDataset};
 use etsc::eval::experiment::{AlgoSpec, RunConfig};
-use etsc::serve::{fit_model, replay_dataset, ReplayOptions, SchedulerConfig};
+use etsc::serve::{fit_model, replay_dataset, ReplayOptions};
 
 #[test]
 fn one_hundred_sessions_commit_without_drops() {
@@ -26,13 +26,13 @@ fn one_hundred_sessions_commit_without_drops() {
         &ReplayOptions {
             obs_frequency_secs: 1.0,
             batch: algo.decision_batch(sessions.max_len(), &config),
-            scheduler: SchedulerConfig::default(),
+            ..ReplayOptions::default()
         },
     )
     .expect("replay runs");
     assert_eq!(outcome.sessions, 100);
     assert_eq!(outcome.report.committed(), 100, "every session decides");
     assert_eq!(outcome.report.dropped_decisions, 0);
-    assert_eq!(outcome.report.shed_observations, 0);
+    assert_eq!(outcome.report.starved(), 0, "no session starves");
     assert_eq!(outcome.report.errors, 0, "{:?}", outcome.report.first_error);
 }
