@@ -32,10 +32,10 @@
 //!   into `BENCH_baseline.json` as an `"adapt"` section.
 //! * **Overload** (`--overload`): pin the server's capacity with a
 //!   seeded per-session evaluation delay, then ramp offered load past
-//!   it — a sliding window of 1×, 2×, and 5× the service depth — once
-//!   without admission control and once with it. Goodput, shed ratio,
-//!   and p99 at every point form the goodput-vs-offered-load curve
-//!   merged into `BENCH_baseline.json` as an `"overload"` section.
+//!   it — a sliding window of 1×, 2×, and 5× the service depth.
+//!   Goodput, shed ratio, and p99 at every point form the
+//!   goodput-vs-offered-load curve merged into `BENCH_baseline.json`
+//!   as an `"overload"` section.
 //!
 //! ```text
 //! loadgen [--algo NAME|all] [--dataset NAME] [--sessions N]
@@ -59,11 +59,11 @@ use etsc_datasets::{drift_stream, DriftKind, DriftOptions, PaperDataset};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
 use etsc_eval::FaultPlan;
 use etsc_net::{
-    run_fleet, run_loadgen, AdmissionConfig, ClientConfig, FleetOptions, FleetReport, LoadReport,
-    LoadgenOptions, NetServer, ServerConfig,
+    run_fleet, run_loadgen, ClientConfig, FleetOptions, FleetReport, LoadReport, LoadgenOptions,
+    NetServer, ServerConfig,
 };
 use etsc_obs::Histogram;
-use etsc_serve::{fit_model, replicate, BrownoutConfig, CodelConfig, StoredModel};
+use etsc_serve::{fit_model, replicate, StoredModel};
 
 struct Args {
     algos: Vec<AlgoSpec>,
@@ -533,7 +533,6 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
         faults: None,
         client: ClientConfig::default(),
         wait_timeout: Duration::from_secs(60),
-        low_priority_share: 0.0,
         open_ahead: 0,
         feedback: true,
         send_shutdown: false,
@@ -648,8 +647,6 @@ struct OverloadPoint {
     /// Offered load as a multiple of the service depth (the sliding
     /// window each connection keeps in flight).
     offered: usize,
-    /// Whether the server ran with admission control armed.
-    admission: bool,
     report: LoadReport,
 }
 
@@ -673,7 +670,7 @@ impl OverloadPoint {
 
 /// Merges an overload ramp into `BENCH_baseline.json` as an
 /// `"overload"` section: the calibrated capacity and, per ramp point,
-/// goodput, shed ratio, and tail latency with and without admission.
+/// goodput, shed ratio, and tail latency.
 fn merge_overload_baseline(
     algo: &str,
     connections: usize,
@@ -693,11 +690,10 @@ fn merge_overload_baseline(
     s.push_str("    \"ramp\": [\n");
     for (i, p) in points.iter().enumerate() {
         s.push_str(&format!(
-            "      {{\"offered_x\": {}, \"admission\": {}, \"sessions\": {}, \
+            "      {{\"offered_x\": {}, \"sessions\": {}, \
              \"goodput_per_sec\": {:.1}, \"shed_ratio\": {:.4}, \"expired\": {}, \
              \"degraded\": {}, \"p99_ms\": {:.4}}}{}\n",
             p.offered,
-            p.admission,
             p.report.sessions,
             p.goodput(),
             p.shed_ratio(),
@@ -719,9 +715,8 @@ fn merge_overload_baseline(
 /// inline per connection, so capacity is `1000/delay` sessions per
 /// second per connection), calibrate goodput with a closed loop of
 /// depth 1, then ramp the in-flight window to 1×, 2×, and 5× that
-/// depth — each point once with admission control off and once with it
-/// on. Without admission the queue inflates the tail; with it the
-/// CoDel/brownout ladder sheds the excess while goodput holds.
+/// depth. Lossless backpressure queues the excess: the tail grows with
+/// the window while goodput holds at capacity.
 fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
     const DELAY_MS: u64 = 10;
     let connections = args.connections.max(1);
@@ -739,37 +734,15 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
         delay: Duration::from_millis(DELAY_MS),
         ..FaultPlan::default()
     };
-    // Thresholds in service-time multiples: a session's own rows queue
-    // behind its step-1 evaluation for up to one service time even at
-    // capacity, so shedding and brownout only engage once sojourns
-    // stack at least two service times deep — the curve stays clean at
-    // 1× offered load and degrades progressively at 2× and 5×.
-    let admission = AdmissionConfig {
-        open_rate: 5000.0,
-        open_burst: 200.0,
-        codel: CodelConfig {
-            target: Duration::from_millis(2 * DELAY_MS),
-            interval: Duration::from_millis(10 * DELAY_MS),
-        },
-        brownout: BrownoutConfig {
-            high_water: Duration::from_millis(5 * DELAY_MS / 2),
-            low_water: Duration::from_millis(DELAY_MS),
-            up_after: 8,
-            down_after: 16,
-        },
-        brownout_poll: Duration::from_millis(2 * DELAY_MS),
-        tightened_deadline: Duration::from_millis(5 * DELAY_MS / 2),
-    };
 
     let mut ok = true;
-    let mut run_point = |depth: usize, armed: bool| -> Option<OverloadPoint> {
+    let mut run_point = |depth: usize| -> Option<OverloadPoint> {
         let server = match NetServer::bind(
             Arc::clone(&stored),
             "127.0.0.1:0",
             ServerConfig {
                 faults: Some(plan.clone()),
                 fault_horizon: sessions,
-                admission: armed.then(|| admission.clone()),
                 ..ServerConfig::default()
             },
         ) {
@@ -797,7 +770,6 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
                     ..ClientConfig::default()
                 },
                 wait_timeout: Duration::from_secs(60),
-                low_priority_share: 0.25,
                 open_ahead: depth,
                 feedback: false,
                 send_shutdown: true,
@@ -806,7 +778,7 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
         let stats = server.join();
         if !report.accounted() || report.dropped != 0 || !report.errors.is_empty() {
             eprintln!(
-                "error: overload point x{depth} admission={armed} lost sessions: \
+                "error: overload point x{depth} lost sessions: \
                  {} dropped, errors: {:?}",
                 report.dropped, report.errors
             );
@@ -814,37 +786,33 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
         }
         if stats.open_sessions() != 0 {
             eprintln!(
-                "error: overload point x{depth} admission={armed} leaked {} sessions",
+                "error: overload point x{depth} leaked {} sessions",
                 stats.open_sessions()
             );
             ok = false;
         }
         Some(OverloadPoint {
             offered: depth,
-            admission: armed,
             report,
         })
     };
 
     let mut points = Vec::new();
     for depth in [1usize, 2, 5] {
-        for armed in [false, true] {
-            match run_point(depth, armed) {
-                Some(p) => points.push(p),
-                None => return false,
-            }
+        match run_point(depth) {
+            Some(p) => points.push(p),
+            None => return false,
         }
     }
-    // The depth-1, admission-off point is the calibrated capacity: a
-    // closed loop exactly as deep as the server's service pipeline.
+    // The depth-1 point is the calibrated capacity: a closed loop
+    // exactly as deep as the server's service pipeline.
     let base_goodput = points[0].goodput();
     for p in &points {
         println!(
-            "{:<9} overload x{} admission {:<5} goodput {:>7.1}/s ({:>5.1}% of capacity)  \
+            "{:<9} overload x{} goodput {:>7.1}/s ({:>5.1}% of capacity)  \
              shed {:>5.1}%  expired {:>3}  degraded {:>3}  p99 {:>8.3} ms",
             algo.name(),
             p.offered,
-            p.admission,
             p.goodput(),
             if base_goodput > 0.0 {
                 p.goodput() / base_goodput * 100.0
@@ -857,10 +825,9 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
             p.p99_ms(),
         );
     }
-    // The resilience claim: at 5× offered load with admission armed,
-    // goodput holds at ≥80% of calibrated capacity — shed, don't
-    // collapse.
-    if let Some(worst) = points.iter().find(|p| p.offered == 5 && p.admission) {
+    // The resilience claim: at 5× offered load goodput holds at ≥80%
+    // of calibrated capacity — queue, don't collapse.
+    if let Some(worst) = points.iter().find(|p| p.offered == 5) {
         if worst.goodput() < 0.8 * base_goodput {
             eprintln!(
                 "error: goodput collapsed under 5x offered load: {:.1}/s vs {:.1}/s calibrated",
@@ -989,7 +956,6 @@ fn main() -> ExitCode {
         faults: args.faults.clone(),
         client: ClientConfig::default(),
         wait_timeout: Duration::from_secs(60),
-        low_priority_share: 0.0,
         open_ahead: 0,
         feedback: false,
         send_shutdown: false,
@@ -997,8 +963,7 @@ fn main() -> ExitCode {
     let mut ok = true;
 
     if args.overload && args.connect.is_none() {
-        // Overload mode: ramp offered load past a pinned capacity with
-        // and without admission control.
+        // Overload mode: ramp offered load past a pinned capacity.
         let algo = args.algos.first().copied().unwrap_or(AlgoSpec::Ects);
         ok = run_overload_mode(&args, algo, &data);
     } else if args.drift && args.connect.is_none() {

@@ -17,12 +17,11 @@ use etsc_eval::report::render_matrix_status;
 use etsc_eval::supervisor::SupervisorOptions;
 use etsc_eval::{CommonOpts, FaultPlan, MatrixRunner, TriggerCellResult};
 use etsc_net::{
-    AdmissionConfig, Backpressure, Client, ClientConfig, Endpoint, NetError, RouterBuilder,
-    ServerBuilder,
+    Backpressure, Client, ClientConfig, Endpoint, NetError, RouterBuilder, ServerBuilder,
 };
 use etsc_serve::{
-    fit_model, fit_triggered_model, load_resilient, replay_dataset, BrownoutConfig, CodelConfig,
-    DeadlineConfig, FallbackPolicy, ReplayOptions, StoredModel,
+    fit_model, fit_triggered_model, load_resilient, replay_dataset, DeadlineConfig, FallbackPolicy,
+    ReplayOptions, StoredModel,
 };
 use etsc_trigger::{CalibrationKind, TriggerKind, TriggerSpec};
 
@@ -91,10 +90,6 @@ commands:
                      [--faults SPEC --fault-sessions N]
                      [--duration-secs N] (0 = until a client requests
                      shutdown) [--trace FILE] [--metrics FILE]
-                     [--admission] (CoDel shedding + per-client rate
-                     limits + brownout degradation under overload)
-                     [--admission-open-rate R] [--codel-target-ms N]
-                     [--brownout-high-ms N] [--brownout-tighten-ms N]
                      SPEC example: seed=42,panics=1,delay-rate=0.05,
                      delay-ms=50,nan-rate=0.02,corrupt-model=true
                      (network faults: torn-rate, disconnect-rate,
@@ -872,6 +867,24 @@ pub fn run(command: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliE
 /// the server runs until a client sends a Shutdown frame; either way
 /// the stop is a graceful drain — in-flight sessions get answers.
 fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
+    // The CLI ignores unknown flags, so the removed admission flags are
+    // refused here instead of doing nothing.
+    if let Some(flag) = [
+        "admission",
+        "admission-open-rate",
+        "codel-target-ms",
+        "brownout-high-ms",
+        "brownout-tighten-ms",
+    ]
+    .into_iter()
+    .find(|f| flags.contains_key(*f))
+    {
+        return Err(CliError::Usage(format!(
+            "--{flag} no longer exists: the overload control of --listen is each session's \
+             deadline, --deadline-ms N --fallback wait|prior|decide-now (or the client's \
+             propagated deadline)"
+        )));
+    }
     let model_path = required(flags, "model")?;
     let faults = parse_faults(flags)?;
     let fault_horizon = parse(flags, "fault-sessions", 0_usize)?;
@@ -884,27 +897,6 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
     apply_trigger_override(&mut stored, flags)?;
     let opts = common_opts(flags)?;
     let obs = opts.build_obs();
-    // `--admission` arms overload control: CoDel-style shedding on
-    // measured sojourn, per-client open rate limits, and the brownout
-    // degradation ladder. The tuning flags override the defaults.
-    let admission = if parse(flags, "admission", false)? {
-        let defaults = AdmissionConfig::default();
-        Some(AdmissionConfig {
-            open_rate: parse(flags, "admission-open-rate", defaults.open_rate)?,
-            codel: CodelConfig {
-                target: Duration::from_millis(parse(flags, "codel-target-ms", 5_u64)?),
-                ..CodelConfig::default()
-            },
-            brownout: BrownoutConfig {
-                high_water: Duration::from_millis(parse(flags, "brownout-high-ms", 20_u64)?),
-                ..BrownoutConfig::default()
-            },
-            tightened_deadline: Duration::from_millis(parse(flags, "brownout-tighten-ms", 10_u64)?),
-            ..defaults
-        })
-    } else {
-        None
-    };
     let mut builder = ServerBuilder::new()
         .max_connections(parse(flags, "max-conns", 64_usize)?)
         .max_pending_frames(parse(flags, "queue", 1024_usize)?)
@@ -922,9 +914,6 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
     }
     if let Some(plan) = faults {
         builder = builder.faults(plan, fault_horizon);
-    }
-    if let Some(a) = admission {
-        builder = builder.admission(a);
     }
     let meta = stored.meta.clone();
     let server = Endpoint::serve(Arc::new(stored), addr, builder)
@@ -959,8 +948,7 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
          {} failed, {} abandoned\n\
          frames         {} read, {} written, {} shed\n\
          faults         {} protocol errors, {} worker panics\n\
-         overload       {} sessions shed, {} rate-limited, {} observations expired, \
-         {} decisions degraded, {} brownout transitions\n\
+         overload       {} observations expired\n\
          open sessions at exit: {}\n",
         started.elapsed().as_secs_f64(),
         stats.connections_accepted,
@@ -977,11 +965,7 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
         stats.frames_shed,
         stats.proto_errors,
         stats.worker_panics,
-        stats.sessions_shed,
-        stats.sessions_rate_limited,
         stats.observations_expired,
-        stats.decisions_degraded,
-        stats.brownout_transitions,
         stats.open_sessions(),
     );
     if opts.metrics.is_some() {
@@ -1914,6 +1898,24 @@ mod tests {
             );
             assert!(
                 matches!(&err, Err(CliError::Usage(m)) if m.contains("lossless and unqueued")),
+                "--{flag}: {err:?}"
+            );
+        }
+        // The admission flags are refused, naming the session deadline
+        // as the overload control.
+        for flag in [
+            "admission",
+            "admission-open-rate",
+            "codel-target-ms",
+            "brownout-high-ms",
+            "brownout-tighten-ms",
+        ] {
+            let err = run_to_string(
+                "serve",
+                &flags(&[("model", "m.etsc"), ("listen", "127.0.0.1:0"), (flag, "1")]),
+            );
+            assert!(
+                matches!(&err, Err(CliError::Usage(m)) if m.contains("--deadline-ms")),
                 "--{flag}: {err:?}"
             );
         }

@@ -15,8 +15,7 @@
 //! etsc serve    --model FILE (--replay NAME | --data FILE --vars K) [--sessions N] [--workers N] [--obs-freq SECS]
 //!               [--deadline-ms N] [--fallback wait|prior|decide-now] [--faults SPEC]
 //! etsc serve    --model FILE --listen ADDR [--max-conns N] [--queue N] [--shed] [--deadline-ms N] [--fallback POLICY]
-//!               [--faults SPEC --fault-sessions N] [--duration-secs N] [--admission] [--admission-open-rate R]
-//!               [--codel-target-ms N] [--brownout-high-ms N] [--brownout-tighten-ms N]
+//!               [--faults SPEC --fault-sessions N] [--duration-secs N]
 //! etsc predict  --model FILE (--dataset NAME | --data FILE --vars K) [--instance I] [--stream]
 //! etsc predict  --connect ADDR (--dataset NAME | --data FILE --vars K) [--instance I] [--feedback]
 //! ```

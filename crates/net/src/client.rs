@@ -64,9 +64,6 @@ pub struct ClientConfig {
     /// Per-decision deadline (ms) propagated on every `OpenSession`;
     /// 0 propagates nothing.
     pub deadline_ms: u64,
-    /// Priority propagated on every `OpenSession` (`PRIORITY_LOW` /
-    /// `PRIORITY_NORMAL` / `PRIORITY_HIGH`).
-    pub priority: u8,
     /// Remaining per-row budget (ms) propagated on every `Observe`;
     /// 0 propagates nothing. A server whose queue outlives this budget
     /// skips the evaluation instead of computing a dead answer.
@@ -95,7 +92,6 @@ impl Default for ClientConfig {
             reconnect_jitter: 0.5,
             jitter_seed: NEXT_SEED.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             deadline_ms: 0,
-            priority: PRIORITY_NORMAL,
             observe_deadline_ms: 0,
             open_retry_budget: 3,
             connect_retry_budget: 3,
@@ -260,7 +256,7 @@ pub struct Client {
 
 impl Client {
     /// Dials `addr` and performs the Hello exchange. Retryable
-    /// refusals (accept-time shed, rate limit) are redialled up to
+    /// refusals (accept-time shed, draining) are redialled up to
     /// [`ClientConfig::connect_retry_budget`] times, honouring the
     /// server's `retry_after_ms` hint under the usual seeded jitter.
     ///
@@ -371,7 +367,7 @@ impl Client {
             expected_len,
             resume: false,
             deadline_ms: self.config.deadline_ms,
-            priority: self.config.priority,
+            priority: PRIORITY_NORMAL,
         })?;
         Ok(id)
     }
@@ -769,8 +765,8 @@ impl Client {
                     s.outcome.is_none() && s.retries < self.config.open_retry_budget
                 }) && retry.is_retryable();
                 if retryable {
-                    // A refused-but-retryable session (admission shed,
-                    // rate limit) re-opens under a fresh id after the
+                    // A refused-but-retryable session (session cap,
+                    // overload) re-opens under a fresh id after the
                     // server's hinted pause. Late errors for the old id
                     // no longer resolve to anything.
                     return self.retry_session(id, retry.retry_after().unwrap_or_default());
@@ -891,7 +887,7 @@ impl Client {
             expected_len,
             resume: false,
             deadline_ms: self.config.deadline_ms,
-            priority: self.config.priority,
+            priority: PRIORITY_NORMAL,
         })?;
         for (i, row) in rows.iter().enumerate() {
             self.send(&Frame::Observe {
@@ -958,7 +954,6 @@ impl Client {
         ids.sort_unstable();
         let vars = self.meta.vars;
         let deadline_ms = self.config.deadline_ms;
-        let priority = self.config.priority;
         let observe_deadline_ms = self.config.observe_deadline_ms;
         for id in ids {
             let Some(state) = self.sessions.get_mut(&id) else {
@@ -971,7 +966,7 @@ impl Client {
                     expected_len: state.expected_len,
                     resume: true,
                     deadline_ms,
-                    priority,
+                    priority: PRIORITY_NORMAL,
                 },
                 max,
             )?;

@@ -268,7 +268,6 @@ pub fn run_fleet(models: &[Arc<StoredModel>], data: &Dataset, opts: &FleetOption
             faults: opts.faults.clone(),
             client: opts.client.clone(),
             wait_timeout: opts.wait_timeout,
-            low_priority_share: 0.0,
             open_ahead: 0,
             feedback: false,
             // Draining the router drains the whole fleet behind it.

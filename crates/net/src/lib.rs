@@ -22,13 +22,11 @@
 //!   drained to `EWOULDBLOCK`, vectored writes from pooled buffers,
 //!   bridging into an [`etsc_serve::SessionTable`] (deadlines, fallback
 //!   policies, panic containment) with Block/Shed backpressure on the
-//!   outbound queue, overload control when
-//!   [`AdmissionConfig`] is armed — CoDel-style shedding on measured
-//!   sojourn, per-client token-bucket open limits, the brownout
-//!   degradation ladder, and expired-deadline discard of queued dead
-//!   work — seeded server-side fault injection, `etsc-obs`
-//!   instrumentation, and graceful drain — in-flight sessions
-//!   answered, new connections refused;
+//!   outbound queue, static connection and session caps that refuse
+//!   at the edge, expired-deadline discard of queued dead work, seeded
+//!   server-side fault injection, `etsc-obs` instrumentation, and
+//!   graceful drain — in-flight sessions answered, new connections
+//!   refused;
 //! * [`client`] — a blocking client library multiplexing many sessions
 //!   over one connection, with reconnect-and-resume of open sessions,
 //!   budgeted jittered retries honouring the server's `retry_after_ms`
@@ -82,4 +80,4 @@ pub use proto::{
     PROTO_VERSION,
 };
 pub use router::{Router, RouterConfig, RouterStats, ShardSnapshot};
-pub use server::{AdmissionConfig, Backpressure, NetServer, ServerConfig, ServerStats};
+pub use server::{Backpressure, NetServer, ServerConfig, ServerStats};

@@ -24,7 +24,6 @@ use etsc_eval::faults::{FaultPlan, FaultSchedule};
 use etsc_obs::Histogram;
 
 use crate::client::{Client, ClientConfig, NetError};
-use crate::proto::PRIORITY_LOW;
 
 /// Tuning knobs for [`run_loadgen`].
 #[derive(Debug, Clone)]
@@ -47,17 +46,12 @@ pub struct LoadgenOptions {
     pub client: ClientConfig,
     /// Budget for collecting outstanding decisions after the feed.
     pub wait_timeout: Duration,
-    /// Fraction of connections that dial with [`PRIORITY_LOW`], so an
-    /// overload run exercises the brownout ladder's shed-low-priority
-    /// rung. 0 = everything at the configured priority.
-    pub low_priority_share: f64,
     /// Sessions each connection keeps in flight at once (0 = every
     /// assigned session opens up front, the time-major batch replay).
     /// A non-zero window opens a replacement the moment an outcome
     /// lands — mid-stream, while the server is still busy with the
     /// rest of the window — so session opens arrive against the real
-    /// backlog, the arrival pattern open-time admission control
-    /// exists for.
+    /// backlog, the arrival pattern of an overload ramp.
     pub open_ahead: usize,
     /// Report each session's true label back after its decision, so a
     /// server running online adaptation can detect drift and refit.
@@ -77,7 +71,6 @@ impl Default for LoadgenOptions {
             faults: None,
             client: ClientConfig::default(),
             wait_timeout: Duration::from_secs(30),
-            low_priority_share: 0.0,
             open_ahead: 0,
             feedback: false,
             send_shutdown: false,
@@ -99,9 +92,9 @@ pub struct LoadReport {
     /// Sessions the server failed (evaluation error, worker panic, or
     /// an overload refusal — the `shed`/`expired` sub-counts below).
     pub failed: usize,
-    /// Of the failed sessions, those refused for load (admission shed,
-    /// rate limit, session cap) after the client's retry budget ran
-    /// out. Overload turned away with attribution, not work lost.
+    /// Of the failed sessions, those refused for load (session cap,
+    /// overload) after the client's retry budget ran out. Overload
+    /// turned away with attribution, not work lost.
     pub shed: usize,
     /// Of the failed sessions, those whose propagated deadline lapsed
     /// before evaluation — the server skipped dead work instead of
@@ -291,14 +284,7 @@ fn feed_connection(
     schedule: Option<&FaultSchedule>,
 ) -> Partial {
     let mut p = Partial::default();
-    let mut config = opts.client.clone();
-    // `mine[0]` is this thread's connection index (sessions are dealt
-    // round-robin), so the first `share × connections` threads dial low.
-    let low_conns = (opts.low_priority_share * opts.connections.max(1) as f64).round() as usize;
-    if mine.first().is_some_and(|&first| first < low_conns) {
-        config.priority = PRIORITY_LOW;
-    }
-    let mut client = match Client::connect(addr, config) {
+    let mut client = match Client::connect(addr, opts.client.clone()) {
         Ok(c) => c,
         Err(e) => {
             p.errors.push(format!("connect: {e}"));
@@ -512,8 +498,8 @@ fn collect_outcome(
 /// at most `open_ahead` sessions in flight, rows dealt round-robin
 /// across the window, outcomes collected (and the window refilled)
 /// the moment they land. Opens therefore arrive while earlier
-/// sessions still occupy the server, which is what lets admission
-/// control see — and shed — genuine overload.
+/// sessions still occupy the server: genuine overload, not a batch
+/// the server sees all at once.
 fn feed_windowed(
     client: &mut Client,
     data: &Dataset,

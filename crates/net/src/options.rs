@@ -39,9 +39,9 @@ use etsc_serve::{DeadlineConfig, StoredModel};
 
 use crate::client::{Client, ClientConfig, NetError};
 use crate::fleet::{run_fleet, FleetOptions, FleetReport};
-use crate::proto::{MAX_FRAME_BYTES, PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, PROTO_MINOR};
+use crate::proto::{MAX_FRAME_BYTES, PROTO_MINOR};
 use crate::router::{Router, RouterConfig};
-use crate::server::{AdmissionConfig, Backpressure, NetServer, ServerConfig};
+use crate::server::{Backpressure, NetServer, ServerConfig};
 
 /// A config combination the builders refuse to produce. Carries the
 /// knob that failed and why, so the fix is one grep away.
@@ -262,14 +262,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Arms adaptive overload admission (see
-    /// [`ServerConfig::admission`]).
-    #[must_use]
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.extras.admission = Some(admission);
-        self
-    }
-
     /// Validates the combination and produces the runtime config.
     pub fn build(self) -> Result<ServerConfig, ConfigError> {
         self.net.validate()?;
@@ -288,21 +280,6 @@ impl ServerBuilder {
                 "event_loop_threads",
                 "more than 64 loops multiplexing sockets is a misconfiguration",
             ));
-        }
-        if let Some(adm) = &self.extras.admission {
-            // NaN must fail validation too, hence not `<= 0.0`.
-            if adm.open_rate.is_nan() || adm.open_rate <= 0.0 {
-                return Err(ConfigError::new(
-                    "admission.open_rate",
-                    "must be positive (omit admission entirely to disable)",
-                ));
-            }
-            if adm.open_burst < 0.0 {
-                return Err(ConfigError::new(
-                    "admission.open_burst",
-                    "must not be negative",
-                ));
-            }
         }
         let mut config = self.extras;
         config.max_frame_bytes = self.net.max_frame_bytes;
@@ -408,14 +385,6 @@ impl ClientBuilder {
         self
     }
 
-    /// See [`ClientConfig::priority`] — one of [`PRIORITY_LOW`],
-    /// [`PRIORITY_NORMAL`], [`PRIORITY_HIGH`].
-    #[must_use]
-    pub fn priority(mut self, priority: u8) -> Self {
-        self.extras.priority = priority;
-        self
-    }
-
     /// Retry budgets for refused opens and refused dials (see
     /// [`ClientConfig::open_retry_budget`] /
     /// [`ClientConfig::connect_retry_budget`]).
@@ -443,15 +412,6 @@ impl ClientBuilder {
             return Err(ConfigError::new(
                 "reconnect_backoff",
                 "base backoff exceeds its cap",
-            ));
-        }
-        if ![PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_HIGH].contains(&self.extras.priority) {
-            return Err(ConfigError::new(
-                "priority",
-                format!(
-                    "{} is not PRIORITY_LOW/NORMAL/HIGH ({PRIORITY_LOW}/{PRIORITY_NORMAL}/{PRIORITY_HIGH})",
-                    self.extras.priority
-                ),
             ));
         }
         let mut config = self.extras;
@@ -707,16 +667,6 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.field, "reconnect_jitter");
-    }
-
-    #[test]
-    fn bad_priority_is_refused() {
-        let err = ClientBuilder::new()
-            .priority(99)
-            .build()
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err.field, "priority");
     }
 
     #[test]

@@ -56,13 +56,13 @@ pub const PROTO_MINOR: u32 = 2;
 /// ([`Frame::ObserveBatch`] / [`Frame::DecisionBatch`]) may be sent.
 pub const BATCH_MINOR: u32 = 2;
 
-/// Lowest scheduling priority — first to be shed under brownout.
+/// Lowest value of the advisory `OpenSession` priority.
 pub const PRIORITY_LOW: u8 = 0;
 
-/// Default scheduling priority.
+/// Default `OpenSession` priority, the one this crate's client sends.
 pub const PRIORITY_NORMAL: u8 = 1;
 
-/// Highest scheduling priority — last to be shed under brownout.
+/// Highest value of the advisory `OpenSession` priority.
 pub const PRIORITY_HIGH: u8 = 2;
 
 /// Bytes of wire framing before the payload: `len: u32` + `crc: u64`.
@@ -404,8 +404,8 @@ pub enum Frame {
         /// revision 1; absent on older peers.
         deadline_ms: u64,
         /// Scheduling priority ([`PRIORITY_LOW`]..[`PRIORITY_HIGH`]):
-        /// under brownout the server sheds lowest-priority sessions
-        /// first. Minor revision 1; older peers default to
+        /// advisory: no server policy reads it, and routers forward
+        /// what the peer sent. Minor revision 1; older peers default to
         /// [`PRIORITY_NORMAL`].
         priority: u8,
     },
@@ -569,8 +569,8 @@ impl Frame {
         }
     }
 
-    /// An `Error` frame with an explicit retryable backoff hint —
-    /// what admission controllers use to spread the retry herd.
+    /// An `Error` frame with an explicit retryable backoff hint, for
+    /// senders that want to spread the retry herd.
     pub fn error_after(
         code: ErrorCode,
         session: Option<u64>,

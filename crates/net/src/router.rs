@@ -135,7 +135,7 @@ pub struct RouterStats {
     /// the hinted backoff without tripping the breaker.
     pub shard_overloads: u64,
     /// Sessions re-placed on another shard after a retryable refusal
-    /// (admission shed, rate limit) instead of failing the client.
+    /// (session cap, overload) instead of failing the client.
     pub sessions_requeued: u64,
     /// Shards that came back through a successful half-open probe.
     pub shard_recoveries: u64,
@@ -1606,7 +1606,7 @@ impl<'r> RouterConn<'r> {
                 let owned = self.sessions.get(&id).is_some_and(|r| r.addr == addr);
                 if owned {
                     // A load-induced refusal of work the shard never
-                    // processed (admission shed, rate limit) is the
+                    // processed (session cap, overload) is the
                     // router's to absorb: re-place the session on a
                     // sibling shard instead of bouncing the overload
                     // back to the client.

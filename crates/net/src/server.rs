@@ -16,16 +16,16 @@
 //! too: deadlines and fallback policies, seeded panic/delay injection
 //! and panic containment are the table's. The server adds the network
 //! concerns: connection caps with accept-time shedding, a slow-loris
-//! idle guard, propagated-deadline expiry, admission and brownout,
-//! rev-2 `ObserveBatch`/`DecisionBatch` pipelining for peers that
-//! negotiated it, and a graceful drain that force-decides in-flight
-//! sessions before the socket closes.
+//! idle guard, propagated-deadline expiry, rev-2
+//! `ObserveBatch`/`DecisionBatch` pipelining for peers that negotiated
+//! it, and a graceful drain that force-decides in-flight sessions
+//! before the socket closes.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IoSlice, Write as _};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,17 +35,13 @@ use etsc_core::{EarlyPrediction, EtscError};
 use etsc_eval::experiment::RunConfig;
 use etsc_eval::faults::{FaultPlan, FaultSchedule};
 use etsc_obs::{HistogramHandle, Obs};
-use etsc_serve::{
-    BrownoutConfig, BrownoutController, BrownoutLevel, CodelConfig, CodelController,
-    DeadlineConfig, FallbackKind, FallbackPolicy, PressureSensor, SessionTable, Step, StoredModel,
-    TokenBucket,
-};
+use etsc_serve::{DeadlineConfig, FallbackKind, FallbackPolicy, SessionTable, Step, StoredModel};
 
 use crate::poll::{Event, Poller, WAKE_TOKEN};
 use crate::proto::{
     encode_frame, BatchDecision, BufferPool, DecisionKind, ErrorCode, Frame, FrameDecoder,
-    ModelInfo, ProtoError, BATCH_MINOR, MAX_FRAME_BYTES, MAX_PENDING_FRAMES, PRIORITY_LOW,
-    PROTO_MINOR, PROTO_VERSION,
+    ModelInfo, ProtoError, BATCH_MINOR, MAX_FRAME_BYTES, MAX_PENDING_FRAMES, PROTO_MINOR,
+    PROTO_VERSION,
 };
 
 /// Poller token reserved for the listener (loop 0 only).
@@ -54,42 +50,6 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// Decisions per `DecisionBatch` frame — keeps the frame comfortably
 /// under any sane `max_frame_bytes` while still coalescing writes.
 const MAX_DECISIONS_PER_BATCH: usize = 512;
-
-/// Overload-admission knobs: per-client token buckets on session
-/// opens, CoDel-style adaptive admission keyed on measured frame
-/// sojourn, and the brownout degradation ladder. `None` in
-/// [`ServerConfig::admission`] keeps the pre-admission behaviour
-/// (static caps only).
-#[derive(Clone)]
-pub struct AdmissionConfig {
-    /// Session opens per second each client IP may sustain.
-    pub open_rate: f64,
-    /// Opens a client may burst above the sustained rate.
-    pub open_burst: f64,
-    /// Adaptive admission over measured frame-handling sojourn.
-    pub codel: CodelConfig,
-    /// Brownout ladder hysteresis.
-    pub brownout: BrownoutConfig,
-    /// How often the brownout controller samples peak pressure.
-    pub brownout_poll: Duration,
-    /// Per-decision deadline forced on new sessions at brownout level
-    /// `Tightened` and deeper (min'd with any configured or
-    /// client-propagated deadline).
-    pub tightened_deadline: Duration,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            open_rate: 200.0,
-            open_burst: 50.0,
-            codel: CodelConfig::default(),
-            brownout: BrownoutConfig::default(),
-            brownout_poll: Duration::from_millis(50),
-            tightened_deadline: Duration::from_millis(10),
-        }
-    }
-}
 
 /// What a connection's full outbound queue does to the next frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,9 +96,6 @@ pub struct ServerConfig {
     /// delivered — typically an `etsc_adapt::Adapter`. `None` grades
     /// feedback for the counters but retains nothing.
     pub feedback: Option<Arc<dyn FeedbackSink>>,
-    /// Overload controllers (token buckets, CoDel admission, brownout
-    /// ladder); `None` disables adaptive admission entirely.
-    pub admission: Option<AdmissionConfig>,
     /// Tracing + metrics sink.
     pub obs: Obs,
 }
@@ -158,7 +115,6 @@ impl Default for ServerConfig {
             faults: None,
             fault_horizon: 0,
             feedback: None,
-            admission: None,
             obs: Obs::disabled(),
         }
     }
@@ -220,18 +176,9 @@ pub struct ServerStats {
     pub frames_unknown: u64,
     /// Hot-swaps committed by [`NetServer::reload`].
     pub model_swaps: u64,
-    /// Session opens refused by adaptive admission (CoDel shed or
-    /// brownout low-priority shed) — answered with a retryable error.
-    pub sessions_shed: u64,
-    /// Session opens refused by a per-client token bucket.
-    pub sessions_rate_limited: u64,
     /// Observations whose propagated deadline had already lapsed at
     /// handling time: evaluation skipped, session failed `Expired`.
     pub observations_expired: u64,
-    /// Decisions forced early by the brownout `DecideNow` rung.
-    pub decisions_degraded: u64,
-    /// Brownout ladder transitions (either direction).
-    pub brownout_transitions: u64,
 }
 
 impl ServerStats {
@@ -264,11 +211,7 @@ struct StatsCells {
     feedback_received: AtomicU64,
     frames_unknown: AtomicU64,
     model_swaps: AtomicU64,
-    sessions_shed: AtomicU64,
-    sessions_rate_limited: AtomicU64,
     observations_expired: AtomicU64,
-    decisions_degraded: AtomicU64,
-    brownout_transitions: AtomicU64,
 }
 
 impl StatsCells {
@@ -293,11 +236,7 @@ impl StatsCells {
             feedback_received: get(&self.feedback_received),
             frames_unknown: get(&self.frames_unknown),
             model_swaps: get(&self.model_swaps),
-            sessions_shed: get(&self.sessions_shed),
-            sessions_rate_limited: get(&self.sessions_rate_limited),
             observations_expired: get(&self.observations_expired),
-            decisions_degraded: get(&self.decisions_degraded),
-            brownout_transitions: get(&self.brownout_transitions),
         }
     }
 }
@@ -334,44 +273,9 @@ impl Generation {
     }
 }
 
-/// Shared overload controllers: one CoDel loop and one brownout
-/// ladder for the whole server, one token bucket per client IP.
-struct AdmissionState {
-    cfg: AdmissionConfig,
-    codel: Mutex<CodelController>,
-    buckets: Mutex<HashMap<IpAddr, TokenBucket>>,
-    pressure: PressureSensor,
-    /// Ladder controller plus the last time it sampled pressure.
-    brownout: Mutex<(BrownoutController, Instant)>,
-    level: AtomicU8,
-}
-
-impl AdmissionState {
-    fn new(cfg: AdmissionConfig) -> AdmissionState {
-        AdmissionState {
-            codel: Mutex::new(CodelController::new(cfg.codel)),
-            brownout: Mutex::new((BrownoutController::new(cfg.brownout), Instant::now())),
-            buckets: Mutex::new(HashMap::new()),
-            pressure: PressureSensor::new(),
-            level: AtomicU8::new(BrownoutLevel::Normal.as_u8()),
-            cfg,
-        }
-    }
-}
-
-/// How an `OpenSession` fared against the admission controllers.
-enum OpenVerdict {
-    Admit,
-    /// Per-client token bucket dry; retry after the hinted backoff.
-    RateLimited(Duration),
-    /// CoDel or brownout shed; retry after the hinted backoff.
-    Shed(Duration),
-}
-
 struct Shared {
     gen: RwLock<Arc<Generation>>,
     config: ServerConfig,
-    admission: Option<AdmissionState>,
     draining: AtomicBool,
     killed: AtomicBool,
     session_seq: AtomicU64,
@@ -400,83 +304,6 @@ impl Shared {
     /// The generation new connections will pin.
     fn current_gen(&self) -> Arc<Generation> {
         Arc::clone(&self.gen.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Current brownout rung (Normal when admission is off).
-    fn brownout_level(&self) -> BrownoutLevel {
-        self.admission
-            .as_ref()
-            .map_or(BrownoutLevel::Normal, |adm| {
-                BrownoutLevel::from_u8(adm.level.load(Ordering::SeqCst))
-            })
-    }
-
-    /// Feeds one measured frame sojourn to the CoDel loop and, at the
-    /// configured poll cadence, lets the brownout controller walk the
-    /// ladder on the peak pressure since its last look.
-    fn record_pressure(&self, sojourn: Duration) {
-        let Some(adm) = &self.admission else { return };
-        adm.pressure.record(sojourn);
-        {
-            let now = Instant::now();
-            let mut codel = adm.codel.lock().unwrap_or_else(|e| e.into_inner());
-            codel.record_sojourn(sojourn, now);
-        }
-        let mut guard = adm.brownout.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.1.elapsed() < adm.cfg.brownout_poll {
-            return;
-        }
-        guard.1 = Instant::now();
-        let peak = adm.pressure.drain();
-        if let Some((from, to)) = guard.0.observe(peak) {
-            adm.level.store(to.as_u8(), Ordering::SeqCst);
-            self.count(
-                |s| &s.brownout_transitions,
-                "net_brownout_transitions_total",
-            );
-            self.config
-                .obs
-                .metrics
-                .gauge("net_brownout_level")
-                .set(f64::from(to.as_u8()));
-            self.config.obs.tracer.event_under(
-                "net.brownout",
-                self.serve_span,
-                &[
-                    ("from", from.name()),
-                    ("to", to.name()),
-                    ("pressure_ms", &peak.as_millis().to_string()),
-                ],
-            );
-        }
-    }
-
-    /// Runs one `OpenSession` through the admission controllers:
-    /// brownout low-priority shed, then the client's token bucket,
-    /// then CoDel. Always admits when admission is off.
-    fn admit_open(&self, peer: Option<IpAddr>, priority: u8) -> OpenVerdict {
-        let Some(adm) = &self.admission else {
-            return OpenVerdict::Admit;
-        };
-        if self.brownout_level() >= BrownoutLevel::ShedLowPriority && priority == PRIORITY_LOW {
-            return OpenVerdict::Shed(adm.cfg.codel.interval);
-        }
-        if let Some(ip) = peer {
-            // One bucket per client IP; loadgen-scale peer sets are
-            // small, so the map is left to grow with distinct clients.
-            let mut buckets = adm.buckets.lock().unwrap_or_else(|e| e.into_inner());
-            let bucket = buckets
-                .entry(ip)
-                .or_insert_with(|| TokenBucket::new(adm.cfg.open_rate, adm.cfg.open_burst));
-            if !bucket.try_acquire(Instant::now()) {
-                return OpenVerdict::RateLimited(bucket.retry_after());
-            }
-        }
-        let mut codel = adm.codel.lock().unwrap_or_else(|e| e.into_inner());
-        if !codel.admit(Instant::now()) {
-            return OpenVerdict::Shed(adm.cfg.codel.interval);
-        }
-        OpenVerdict::Admit
     }
 }
 
@@ -517,7 +344,6 @@ impl NetServer {
             .as_ref()
             .filter(|_| config.fault_horizon > 0)
             .map(|plan| plan.schedule(&vec![1; config.fault_horizon]));
-        let admission = config.admission.clone().map(AdmissionState::new);
         let n_loops = resolve_event_loops(config.event_loop_threads);
         let mut pollers = Vec::with_capacity(n_loops);
         let mut inboxes: Vec<Inbox> = Vec::with_capacity(n_loops);
@@ -528,7 +354,6 @@ impl NetServer {
         let shared = Arc::new(Shared {
             gen: RwLock::new(Arc::new(generation)),
             config,
-            admission,
             draining: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             session_seq: AtomicU64::new(0),
@@ -858,7 +683,6 @@ impl EventLoop {
             return;
         }
         let _ = stream.set_nodelay(true);
-        let peer = stream.peer_addr().ok().map(|a| a.ip());
         // Pin the serving generation for this connection's whole life:
         // sessions borrow stream state into this model, so a concurrent
         // hot-swap must not pull it out from under them.
@@ -893,7 +717,6 @@ impl EventLoop {
                 pool: BufferPool::default(),
             },
             conn_id,
-            peer,
             gen,
             read_at: now,
             read_epoch: now,
@@ -1067,21 +890,20 @@ struct Conn {
     dec: FrameDecoder,
     out: OutBuf,
     conn_id: u64,
-    /// Client IP, the token-bucket key (None for unnamed peers).
-    peer: Option<IpAddr>,
     /// The serving generation pinned at accept time; points into
     /// `gen_pin` (see the SAFETY note at construction).
     gen: &'static Generation,
-    /// When the bytes of the frame batch currently being handled
-    /// landed — the epoch propagated deadlines are measured against.
+    /// When the most recent read returned bytes.
     read_at: Instant,
-    /// The pressure epoch: bytes already waiting when the previous
-    /// batch finished handling arrived *during* that handling, so
-    /// their queue sojourn is measured from the previous read — not
-    /// from the moment the loop finally got to them. Reset to "now"
-    /// only after a read attempt found the socket empty. Without
-    /// this, the first frame of every batch reads as a zero sojourn
-    /// and a standing queue never shows up in the admission signal.
+    /// The landing epoch of the bytes being handled: the reference
+    /// propagated deadlines (and frame sojourn) are measured from.
+    /// Bytes already waiting when the previous batch finished handling
+    /// arrived *during* that handling, so they are dated back to the
+    /// previous read, not to the moment the loop finally got to them.
+    /// Reset to "now" only after a read attempt found the socket
+    /// empty. Without this, a row that landed while the loop sat in a
+    /// slow evaluation would look fresh, and whether its deadline
+    /// lapsed would depend on how the kernel split the client's writes.
     read_epoch: Instant,
     /// Whether the last read attempt found the socket empty.
     idle: bool,
@@ -1220,16 +1042,14 @@ impl Conn {
                         Handled::Observe => {
                             hists.observe.record(started.elapsed().as_secs_f64());
                             // Sojourn: time since this frame's bytes
-                            // landed (pressure epoch), including the
+                            // landed (landing epoch), including the
                             // wait behind earlier frames of the same
                             // busy period.
                             let sojourn = self.read_epoch.elapsed();
                             hists.sojourn.record(sojourn.as_secs_f64());
-                            shared.record_pressure(sojourn);
                         }
                         Handled::Open => {
                             hists.open.record(started.elapsed().as_secs_f64());
-                            shared.record_pressure(self.read_epoch.elapsed());
                         }
                         Handled::Drain => {
                             // Flag first, then wake every loop: each
@@ -1309,9 +1129,9 @@ impl Conn {
                 expected_len,
                 resume,
                 deadline_ms,
-                priority,
+                ..
             } => {
-                self.open_session(id, vars, expected_len, resume, deadline_ms, priority);
+                self.open_session(id, vars, expected_len, resume, deadline_ms);
                 Handled::Open
             }
             Frame::Observe {
@@ -1405,7 +1225,6 @@ impl Conn {
         expected_len: usize,
         resume: bool,
         deadline_ms: u64,
-        priority: u8,
     ) {
         let shared = Arc::clone(&self.shared);
         if shared.draining.load(Ordering::SeqCst) {
@@ -1415,41 +1234,6 @@ impl Conn {
                 "server is draining",
             ));
             return;
-        }
-        match shared.admit_open(self.peer, priority) {
-            OpenVerdict::Admit => {}
-            OpenVerdict::RateLimited(after) => {
-                shared.count(
-                    |s| &s.sessions_rate_limited,
-                    "net_sessions_rate_limited_total",
-                );
-                self.send(Frame::error_after(
-                    ErrorCode::Overloaded,
-                    Some(id),
-                    "per-client open rate limit",
-                    after.as_millis().max(1) as u64,
-                ));
-                return;
-            }
-            OpenVerdict::Shed(after) => {
-                shared.count(|s| &s.sessions_shed, "net_sessions_shed_total");
-                shared.config.obs.tracer.event_under(
-                    "net.session.shed",
-                    shared.serve_span,
-                    &[
-                        ("conn", &self.conn_id.to_string()),
-                        ("session", &id.to_string()),
-                        ("level", shared.brownout_level().name()),
-                    ],
-                );
-                self.send(Frame::error_after(
-                    ErrorCode::Overloaded,
-                    Some(id),
-                    "admission control shed",
-                    after.as_millis().max(1) as u64,
-                ));
-                return;
-            }
         }
         if self.table.len() >= shared.config.max_sessions_per_conn {
             self.send(Frame::error(
@@ -1494,37 +1278,27 @@ impl Conn {
     }
 
     /// The per-decision deadline a new session is armed with: the
-    /// tightest of the configured deadline, the client's propagated
-    /// `deadline_ms`, and the brownout tightened deadline (when the
-    /// ladder is at `Tightened` or deeper). Client- and
-    /// brownout-imposed deadlines decide-now on breach — a degraded
-    /// best-effort answer beats a late one under pressure.
+    /// tighter of the configured deadline and the client's propagated
+    /// `deadline_ms`. A client-imposed deadline decides-now on breach
+    /// when the server configured none — a best-effort answer on the
+    /// observed prefix beats a late one.
     fn effective_deadline(&self, deadline_ms: u64) -> Option<DeadlineConfig> {
-        let shared = &self.shared;
-        let mut deadline = shared.config.deadline;
-        let prior_label = self.gen.info.prior_label;
-        let mut tighten = |budget: Duration| {
-            deadline = Some(match deadline {
-                Some(cfg) => DeadlineConfig {
-                    deadline: cfg.deadline.min(budget),
-                    ..cfg
-                },
-                None => DeadlineConfig {
-                    deadline: budget,
-                    policy: FallbackPolicy::DecideNow,
-                    prior_label,
-                },
-            });
-        };
-        if deadline_ms > 0 {
-            tighten(Duration::from_millis(deadline_ms));
+        let configured = self.shared.config.deadline;
+        if deadline_ms == 0 {
+            return configured;
         }
-        if let Some(adm) = &shared.admission {
-            if shared.brownout_level() >= BrownoutLevel::Tightened {
-                tighten(adm.cfg.tightened_deadline);
-            }
-        }
-        deadline
+        let budget = Duration::from_millis(deadline_ms);
+        Some(match configured {
+            Some(cfg) => DeadlineConfig {
+                deadline: cfg.deadline.min(budget),
+                ..cfg
+            },
+            None => DeadlineConfig {
+                deadline: budget,
+                policy: FallbackPolicy::DecideNow,
+                prior_label: self.gen.info.prior_label,
+            },
+        })
     }
 
     fn observe(&mut self, id: u64, step: u64, row: &[f64], deadline_ms: u64) {
@@ -1550,10 +1324,10 @@ impl Conn {
             return;
         }
         // Propagated deadline: the client's remaining budget for this
-        // row, measured from when its bytes landed. Already lapsed
-        // means the answer is dead on arrival — skip the evaluation
-        // instead of computing it.
-        if deadline_ms > 0 && self.read_at.elapsed() >= Duration::from_millis(deadline_ms) {
+        // row, measured from when its bytes landed (the landing epoch).
+        // Already lapsed means the answer is dead on arrival — skip the
+        // evaluation instead of computing it.
+        if deadline_ms > 0 && self.read_epoch.elapsed() >= Duration::from_millis(deadline_ms) {
             shared.count(
                 |s| &s.observations_expired,
                 "net_observations_expired_total",
@@ -1563,29 +1337,6 @@ impl Conn {
                 ErrorCode::Expired,
                 &format!("deadline of {deadline_ms}ms lapsed before evaluation"),
             );
-            return;
-        }
-        // Brownout `DecideNow`: answer from what the session has seen
-        // instead of evaluating further — the cheapest verdict that is
-        // still the algorithm's own, and one less session to feed.
-        // Counted as a degraded decision; the wire kind says whether
-        // the verdict was forced from observed data or fell back to the
-        // prior.
-        if shared.brownout_level() >= BrownoutLevel::DecideNow {
-            let step = self.table.force(id, self.gen.info.prior_label);
-            if let Some(Step::Decided(..)) = step {
-                shared.count(|s| &s.decisions_degraded, "net_decisions_degraded_total");
-                shared.config.obs.tracer.event_under(
-                    "net.session.degraded",
-                    shared.serve_span,
-                    &[
-                        ("conn", &self.conn_id.to_string()),
-                        ("session", &id.to_string()),
-                        ("level", shared.brownout_level().name()),
-                    ],
-                );
-            }
-            self.settle(id, step, false);
             return;
         }
         let step = self.table.push(id, row, shared.schedule.as_ref());

@@ -1,13 +1,15 @@
 //! Overload chaos: drive a server far past its evaluation capacity and
-//! assert graceful brownout, exact accounting, and no collapse.
+//! assert exact accounting and no collapse.
 //!
 //! Capacity is made analytically known with a seeded fault plan: every
 //! session's first evaluation sleeps a fixed delay, so one connection's
 //! handler can clear at most `1000 / delay_ms` sessions per second. The
 //! overload run then keeps several sessions in flight per connection —
-//! a multiple of the service depth the handler actually has — and the
-//! admission/brownout stack must shed the excess with retryable errors
-//! instead of letting queues (and tail latency) grow without bound.
+//! a multiple of the service depth the handler actually has. Lossless
+//! backpressure must queue the excess without losing a session or
+//! letting goodput fall; the remaining overload rules — propagated
+//! deadlines that discard dead work, and retryable static-cap refusals
+//! that client budgets absorb — have a test each.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,11 +17,9 @@ use std::time::Duration;
 use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
 use etsc_eval::faults::FaultPlan;
-use etsc_net::{
-    run_loadgen, AdmissionConfig, ClientConfig, LoadgenOptions, NetServer, ServerConfig,
-};
+use etsc_net::{run_loadgen, ClientConfig, LoadgenOptions, NetServer, ServerConfig};
 use etsc_obs::Obs;
-use etsc_serve::{fit_model, BrownoutConfig, CodelConfig, StoredModel};
+use etsc_serve::{fit_model, StoredModel};
 
 fn synthetic() -> Dataset {
     let mut b = DatasetBuilder::new("overload");
@@ -52,32 +52,8 @@ fn delay_plan(delay_ms: u64) -> FaultPlan {
     }
 }
 
-/// A twitchy admission stack sized for a test run: short CoDel
-/// interval, low waters, fast brownout polling.
-fn test_admission() -> AdmissionConfig {
-    AdmissionConfig {
-        open_rate: 5000.0,
-        open_burst: 200.0,
-        codel: CodelConfig {
-            target: Duration::from_millis(2),
-            interval: Duration::from_millis(20),
-        },
-        // The ladder climbs deliberately slowly (a rung per ~160ms of
-        // sustained pressure) so CoDel shedding is visible before
-        // decide-now starts absorbing the backlog for free.
-        brownout: BrownoutConfig {
-            high_water: Duration::from_millis(8),
-            low_water: Duration::from_millis(2),
-            up_after: 8,
-            down_after: 16,
-        },
-        brownout_poll: Duration::from_millis(20),
-        tightened_deadline: Duration::from_millis(10),
-    }
-}
-
 #[test]
-fn overload_5x_sheds_gracefully_without_collapsing_goodput() {
+fn overload_5x_loses_nothing_and_keeps_goodput() {
     const DELAY_MS: u64 = 10;
     let data = synthetic();
     let model = model(&data);
@@ -116,8 +92,8 @@ fn overload_5x_sheds_gracefully_without_collapsing_goodput() {
 
     // Overload: five sessions in flight per connection against a
     // service depth of one — 5x capacity, sustained. Retries are
-    // disabled so every admission refusal becomes a visible, counted
-    // session outcome instead of eventually squeezing through.
+    // disabled so any refusal becomes a visible, counted session
+    // outcome instead of eventually squeezing through.
     let obs = Obs::enabled();
     let over_sessions = 300;
     let over_server = NetServer::bind(
@@ -126,7 +102,6 @@ fn overload_5x_sheds_gracefully_without_collapsing_goodput() {
         ServerConfig {
             faults: Some(delay_plan(DELAY_MS)),
             fault_horizon: over_sessions,
-            admission: Some(test_admission()),
             obs: obs.clone(),
             ..ServerConfig::default()
         },
@@ -139,7 +114,6 @@ fn overload_5x_sheds_gracefully_without_collapsing_goodput() {
             connections: 4,
             sessions: over_sessions,
             open_ahead: 5,
-            low_priority_share: 0.25,
             wait_timeout: Duration::from_secs(60),
             client: ClientConfig {
                 open_retry_budget: 0,
@@ -151,9 +125,10 @@ fn overload_5x_sheds_gracefully_without_collapsing_goodput() {
     );
     let stats = over_server.join();
 
-    // Every rejected request is accounted for: each opened session has
-    // exactly one fate, none timed out, and shed outcomes carried the
-    // structured overload code (that is what classified them).
+    // Every session is accounted for: each opened session has exactly
+    // one fate, and under pure overload that fate is a decision — the
+    // excess waits in lossless backpressure, it is neither refused nor
+    // failed nor dropped.
     assert!(
         over.accounted(),
         "fates {} + {} + {} + {} != sessions {}",
@@ -164,64 +139,26 @@ fn overload_5x_sheds_gracefully_without_collapsing_goodput() {
         over.sessions
     );
     assert_eq!(over.dropped, 0, "sessions vanished: {:?}", over.errors);
+    assert_eq!(
+        over.failed, 0,
+        "sessions failed under overload ({} shed, {} expired)",
+        over.shed, over.expired
+    );
     assert!(over.errors.is_empty(), "{:?}", over.errors);
-    assert_eq!(
-        over.failed, over.shed,
-        "every failure under pure overload is an attributed shed"
-    );
-    assert!(
-        stats.sessions_shed + stats.sessions_rate_limited > 0,
-        "5x offered load never tripped admission: {stats:?}"
-    );
-    assert_eq!(
-        over.shed as u64,
-        stats.sessions_shed + stats.sessions_rate_limited,
-        "client-observed sheds disagree with the server's count"
-    );
-    assert!(
-        stats.brownout_transitions > 0,
-        "sustained overload never moved the brownout ladder: {stats:?}"
-    );
-    assert!(
-        stats.decisions_degraded > 0,
-        "the deeper rungs never forced an early verdict: {stats:?}"
-    );
     assert_eq!(stats.open_sessions(), 0, "session leak: {stats:?}");
 
     // No collapse: goodput under 5x offered load stays within 20% of
-    // the calibrated capacity (brownout's forced-early verdicts may
-    // push it higher; falling far below means admission let queues,
-    // retries, or head-of-line blocking eat the machine).
+    // the calibrated capacity (falling far below means queues,
+    // retries, or head-of-line blocking ate the machine).
     let goodput = over.decisions_per_sec();
     assert!(
         goodput >= 0.8 * base_goodput,
         "goodput collapsed under overload: {goodput:.1}/s vs calibrated {base_goodput:.1}/s"
     );
 
-    // The pressure telemetry is exported: sojourn histogram, shed
-    // counters, and the brownout gauge all flow through etsc-obs.
-    let counters = obs.metrics.snapshot_counters();
-    assert_eq!(
-        counters
-            .get("net_sessions_shed_total")
-            .copied()
-            .unwrap_or(0)
-            + counters
-                .get("net_sessions_rate_limited_total")
-                .copied()
-                .unwrap_or(0),
-        stats.sessions_shed + stats.sessions_rate_limited
-    );
-    assert_eq!(
-        counters
-            .get("net_brownout_transitions_total")
-            .copied()
-            .unwrap_or(0),
-        stats.brownout_transitions
-    );
+    // The queueing telemetry is exported through etsc-obs.
     let prom = obs.metrics.render_prometheus();
     assert!(prom.contains("net_frame_sojourn_seconds"), "{prom}");
-    assert!(prom.contains("net_brownout_level"), "{prom}");
 }
 
 #[test]
@@ -306,63 +243,57 @@ fn expired_deadlines_skip_dead_work() {
 }
 
 #[test]
-fn retry_budget_honours_rate_limit_hints() {
-    // A bucket of one token refilling at 20/s: of four back-to-back
-    // opens, three are refused with a retry hint. A client with budget
-    // left must absorb the refusals — sleep the hinted pause, re-open
-    // under a fresh id — and still land every decision.
+fn retry_budget_absorbs_session_limit_refusals() {
+    // A server holding one open session per connection refuses the
+    // second of two back-to-back opens with a retryable `SessionLimit`.
+    // A client with budget left must absorb the refusal — sleep the
+    // hinted pause, re-open under a fresh id once the first session
+    // decided, replay the rows it already sent — and land both
+    // decisions.
     let data = synthetic();
     let model = model(&data);
     let server = NetServer::bind(
         Arc::clone(&model),
         "127.0.0.1:0",
         ServerConfig {
-            admission: Some(AdmissionConfig {
-                open_rate: 20.0,
-                open_burst: 1.0,
-                // Park CoDel and the brownout ladder: this test isolates
-                // the token bucket.
-                codel: CodelConfig {
-                    target: Duration::from_secs(5),
-                    interval: Duration::from_secs(5),
-                },
-                brownout: BrownoutConfig {
-                    high_water: Duration::from_secs(5),
-                    low_water: Duration::from_secs(1),
-                    up_after: 1000,
-                    down_after: 1,
-                },
-                ..AdmissionConfig::default()
-            }),
+            max_sessions_per_conn: 1,
             ..ServerConfig::default()
         },
     )
     .unwrap();
-    let report = run_loadgen(
+    let mut client = etsc_net::Client::connect(
         &server.local_addr().to_string(),
-        &data,
-        &LoadgenOptions {
-            connections: 1,
-            sessions: 4,
-            wait_timeout: Duration::from_secs(60),
-            client: ClientConfig {
-                open_retry_budget: 8,
-                ..ClientConfig::default()
-            },
-            send_shutdown: true,
-            ..LoadgenOptions::default()
+        ClientConfig {
+            open_retry_budget: 8,
+            ..ClientConfig::default()
         },
-    );
-    let stats = server.join();
-    assert_eq!(
-        report.decided, 4,
-        "retry budget failed to absorb the rate limit: {report:?}"
-    );
-    assert_eq!(report.shed, 0, "{report:?}");
+    )
+    .unwrap();
+    let row = |inst: &MultiSeries, t: usize| -> Vec<f64> {
+        (0..inst.vars()).map(|v| inst.at(v, t)).collect()
+    };
+    let (a, b) = (data.instance(0), data.instance(1));
+    let id_a = client.open_session(a.len()).unwrap();
+    let id_b = client.open_session(b.len()).unwrap();
+    for t in 0..a.len() {
+        client.observe(id_a, &row(a, t)).unwrap();
+    }
+    for t in 0..b.len() {
+        client.observe(id_b, &row(b, t)).unwrap();
+    }
+    let decided_a = client.wait_decision(id_a, Duration::from_secs(20));
+    let decided_b = client.wait_decision(id_b, Duration::from_secs(20));
+    assert!(decided_a.is_ok(), "first session: {decided_a:?}");
     assert!(
-        report.session_retries >= 1,
-        "no retry was ever needed — the bucket never refused: {stats:?}"
+        decided_b.is_ok(),
+        "retry budget failed to absorb the session limit: {decided_b:?}"
     );
-    assert!(stats.sessions_rate_limited >= 1, "{stats:?}");
+    assert!(
+        client.stats().session_retries >= 1,
+        "no retry was ever needed — the session limit never refused: {:?}",
+        client.stats()
+    );
+    drop(client);
+    let stats = server.join();
     assert_eq!(stats.open_sessions(), 0, "session leak: {stats:?}");
 }

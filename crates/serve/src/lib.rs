@@ -18,9 +18,6 @@
 //!   deadline and arrival number, injects seeded panics and delays,
 //!   contains panics so one fails only its own session, and forces
 //!   decisions;
-//! * [`admission`] — the overload controllers of the network edge:
-//!   per-client token buckets, CoDel-style sojourn-keyed adaptive
-//!   admission, and the brownout degradation ladder with hysteresis;
 //! * [`replay`] — replays a whole dataset as sessions partitioned over
 //!   a few threads, each feeding its own table straight from the
 //!   dataset (lossless, unqueued), at the dataset's observation
@@ -35,16 +32,11 @@
 //! inject worker panics, decision latency, and poisoned stream points
 //! deterministically for chaos testing.
 
-pub mod admission;
 pub mod replay;
 pub mod session;
 pub mod store;
 pub mod table;
 
-pub use admission::{
-    BrownoutConfig, BrownoutController, BrownoutLevel, CodelConfig, CodelController,
-    PressureSensor, TokenBucket,
-};
 pub use replay::{replay_dataset, ReplayOptions, ReplayOutcome, ServeReport, SessionOutcome};
 pub use session::{DeadlineConfig, FallbackKind, FallbackPolicy, StreamSession};
 pub use store::{

@@ -115,7 +115,6 @@ fn adaptation_under_step_drift_survives_sabotage_and_attributes_everything() {
         faults: None,
         client: ClientConfig::default(),
         wait_timeout: Duration::from_secs(60),
-        low_priority_share: 0.0,
         open_ahead: 0,
         feedback: true,
         send_shutdown: false,
