@@ -34,8 +34,10 @@ use etsc_trigger::TriggerSpec;
 struct BaselineRow {
     algo: &'static str,
     decisions_per_sec: f64,
-    p50_ms: f64,
-    p99_ms: f64,
+    /// In-process decision latencies in microseconds: sub-100 ns
+    /// medians would print as zero at millisecond scale.
+    p50_us: f64,
+    p99_us: f64,
     feasible: Option<bool>,
 }
 
@@ -141,11 +143,11 @@ fn write_baseline(rows: &[BaselineRow], triggers: &[TriggerRow], overhead_pct: f
             None => "null",
         };
         out.push_str(&format!(
-            "    {{\"algo\": \"{}\", \"decisions_per_sec\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"feasible\": {}}}{}\n",
+            "    {{\"algo\": \"{}\", \"decisions_per_sec\": {:.1}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"feasible\": {}}}{}\n",
             row.algo,
             row.decisions_per_sec,
-            row.p50_ms,
-            row.p99_ms,
+            row.p50_us,
+            row.p99_us,
             feasible,
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -290,8 +292,8 @@ fn streaming_benches(c: &mut Criterion) {
         rows.push(BaselineRow {
             algo: algo.name(),
             decisions_per_sec: outcome.decisions_per_sec,
-            p50_ms: outcome.p50_latency_secs * 1000.0,
-            p99_ms: outcome.p99_latency_secs * 1000.0,
+            p50_us: outcome.p50_latency_secs * 1e6,
+            p99_us: outcome.p99_latency_secs * 1e6,
             feasible: outcome.feasible(),
         });
         // Tracer-overhead probe (acceptance: ≤ 3%): replay the first
@@ -338,11 +340,11 @@ fn streaming_benches(c: &mut Criterion) {
             overhead_probe = Some(pct);
         }
         eprintln!(
-            "{:<9} {:>8.0} decisions/s  p50 {:>8.4} ms  p99 {:>8.4} ms  ratio {:>10.4e} ({})",
+            "{:<9} {:>8.0} decisions/s  p50 {:>9.3} us  p99 {:>9.3} us  ratio {:>10.4e} ({})",
             algo.name(),
             outcome.decisions_per_sec,
-            outcome.p50_latency_secs * 1000.0,
-            outcome.p99_latency_secs * 1000.0,
+            outcome.p50_latency_secs * 1e6,
+            outcome.p99_latency_secs * 1e6,
             outcome.measured_ratio.unwrap_or(f64::NAN),
             if outcome.feasible() == Some(true) {
                 "feasible"

@@ -581,11 +581,12 @@ pub fn run(command: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliE
                 data.class_names()[data.label(instance_idx)]
             );
             for t in 1..=inst.len() {
-                let prefix = inst
-                    .prefix(t)
+                let row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, t - 1)).collect();
+                stream
+                    .push(&row)
                     .map_err(|e| CliError::Runtime(e.to_string()))?;
                 match stream
-                    .observe(&prefix, t == inst.len())
+                    .decide(t == inst.len())
                     .map_err(|e| CliError::Runtime(e.to_string()))?
                 {
                     Some(label) => {

@@ -21,21 +21,30 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::io::Write;
 use std::process::ExitCode;
 
 use etsc_cli::{run, CliError};
 
+/// Writes one diagnostic line to stderr. Write errors are ignored: a
+/// closed stderr (a pipe whose reader has exited) must not turn a
+/// usage error into a panic and exit code 101.
+fn diag(line: impl Display) {
+    let _ = writeln!(std::io::stderr(), "{line}");
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
-        eprintln!("{}", etsc_cli::USAGE);
+        diag(etsc_cli::USAGE);
         return ExitCode::from(2);
     };
     let mut flags: HashMap<String, String> = HashMap::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
-            eprintln!("error: expected a --flag, got {flag:?}");
+            diag(format_args!("error: expected a --flag, got {flag:?}"));
             return ExitCode::from(2);
         };
         // Boolean flags take no value.
@@ -46,7 +55,7 @@ fn main() -> ExitCode {
             continue;
         }
         let Some(value) = it.next() else {
-            eprintln!("error: --{name} needs a value");
+            diag(format_args!("error: --{name} needs a value"));
             return ExitCode::from(2);
         };
         flags.insert(name.to_owned(), value.clone());
@@ -54,12 +63,12 @@ fn main() -> ExitCode {
     match run(command, &flags, &mut std::io::stdout()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!("{}", etsc_cli::USAGE);
+            diag(format_args!("error: {msg}"));
+            diag(etsc_cli::USAGE);
             ExitCode::from(2)
         }
         Err(CliError::Runtime(msg)) => {
-            eprintln!("error: {msg}");
+            diag(format_args!("error: {msg}"));
             ExitCode::FAILURE
         }
     }

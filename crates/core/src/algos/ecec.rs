@@ -14,7 +14,7 @@
 
 // Indexed loops keep the gradient/index math readable here.
 #![allow(clippy::needless_range_loop)]
-use etsc_data::{Dataset, Label, MultiSeries, StratifiedKFold};
+use etsc_data::{Dataset, Label, PrefixBuffer, StratifiedKFold};
 use etsc_ml::logistic::LogisticConfig;
 use etsc_transforms::weasel::WeaselConfig;
 
@@ -326,6 +326,7 @@ impl EarlyClassifier for Ecec {
         }
         Ok(Box::new(EcecStream {
             model: self,
+            buf: PrefixBuffer::new(),
             next_prefix: 0,
             history: Vec::new(),
         }))
@@ -334,25 +335,26 @@ impl EarlyClassifier for Ecec {
 
 struct EcecStream<'a> {
     model: &'a Ecec,
+    buf: PrefixBuffer,
     /// Index of the next prefix to evaluate.
     next_prefix: usize,
     history: Vec<(usize, Label)>,
 }
 
 impl StreamState for EcecStream<'_> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        Ok(self.buf.push(row)?)
+    }
+
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
         let m = self.model;
-        let available = prefix.len().min(m.len);
+        let available = self.buf.len().min(m.len);
         while self.next_prefix < m.prefix_lengths.len()
             && m.prefix_lengths[self.next_prefix] <= available
         {
             let i = self.next_prefix;
             let pl = m.prefix_lengths[i];
-            let window = prefix.prefix(pl)?;
+            let window = self.buf.prefix(pl)?;
             let pred = m.pipelines[i].predict(&window)?;
             self.history.push((i, pred));
             let c = Ecec::confidence(&self.history, &m.reliability, pred);
@@ -366,7 +368,7 @@ impl StreamState for EcecStream<'_> {
             // Instance shorter than the next prefix: use what we have.
             let i = self.next_prefix.min(m.prefix_lengths.len() - 1);
             let pl = m.prefix_lengths[i].min(available);
-            let window = prefix.prefix(pl)?;
+            let window = self.buf.prefix(pl)?;
             return Ok(Some(m.pipelines[i].predict(&window)?));
         }
         Ok(None)
@@ -376,7 +378,7 @@ impl StreamState for EcecStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_data::{DatasetBuilder, Series};
+    use etsc_data::{DatasetBuilder, MultiSeries, Series};
 
     /// Frequency classes distinguishable from early prefixes.
     fn toy() -> Dataset {

@@ -13,14 +13,14 @@
 //! The paper runs `k ∈ {1, 2, 3}` per dataset (Table 4); `fit` selects
 //! the candidate with the best training harmonic mean.
 
-use etsc_data::{Dataset, Label, MultiSeries};
+use etsc_data::{Dataset, Label};
 use etsc_ml::bayes::GaussianNb;
 use etsc_ml::forest::{ForestConfig, RandomForest};
 use etsc_ml::gbm::{GbmConfig, GradientBoosting};
 use etsc_ml::kmeans::{KMeans, KMeansConfig};
 use etsc_ml::{Classifier, Matrix};
 
-use crate::algos::{equalized, require_univariate};
+use crate::algos::{equalized, first_value, require_univariate};
 use crate::error::EtscError;
 use crate::traits::{EarlyClassifier, StreamState};
 
@@ -368,6 +368,7 @@ impl EarlyClassifier for EconomyK {
             model,
             lambda: self.config.lambda,
             time_cost: self.config.time_cost,
+            series: Vec::with_capacity(model.len),
         }))
     }
 }
@@ -376,20 +377,26 @@ struct EconomyStream<'a> {
     model: &'a Model,
     lambda: f64,
     time_cost: f64,
+    /// Pushed values, up to the model length.
+    series: Vec<f64>,
 }
 
 impl StreamState for EconomyStream<'_> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        let x = first_value(row)?;
+        if self.series.len() < self.model.len {
+            self.series.push(x);
+        }
+        Ok(())
+    }
+
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
         let m = self.model;
-        let t = prefix.len().min(m.len);
+        let t = self.series.len();
         if t == 0 {
             return Ok(None);
         }
-        let series = &prefix.var(0)[..t];
+        let series = &self.series[..];
         if t >= m.len || is_final || m.should_decide_now(series, self.lambda, self.time_cost) {
             let pred = m.classifiers[t - 1].predict(series)?;
             return Ok(Some(pred));
@@ -401,7 +408,7 @@ impl StreamState for EconomyStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_data::{DatasetBuilder, Series};
+    use etsc_data::{DatasetBuilder, MultiSeries, Series};
 
     /// Classes diverge from t=3 of 8.
     fn toy() -> Dataset {
@@ -496,7 +503,7 @@ mod tests {
 mod base_classifier_tests {
     use super::*;
     use crate::traits::EarlyClassifier;
-    use etsc_data::{DatasetBuilder, Series};
+    use etsc_data::{DatasetBuilder, MultiSeries, Series};
 
     fn toy() -> Dataset {
         let mut b = DatasetBuilder::new("base");

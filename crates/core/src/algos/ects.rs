@@ -13,11 +13,12 @@
 //! At test time a prefix of length `l` is matched to its nearest training
 //! series at that length; a prediction is emitted once `l ≥ MPL(nn)`.
 
-use etsc_data::{Dataset, Label, MultiSeries};
+use etsc_data::{Dataset, Label};
 use etsc_ml::hclust::{average_linkage, pairwise_euclidean};
-use etsc_ml::knn::{nearest_prefix, PrefixNnTable};
+use etsc_ml::knn::PrefixNnTable;
+use etsc_ml::MlError;
 
-use crate::algos::{equalized, require_univariate};
+use crate::algos::{equalized, first_value, require_univariate};
 use crate::error::EtscError;
 use crate::traits::{EarlyClassifier, StreamState};
 
@@ -197,28 +198,70 @@ impl EarlyClassifier for Ects {
         if self.train.is_empty() {
             return Err(EtscError::NotFitted);
         }
-        Ok(Box::new(EctsStream { model: self }))
+        Ok(Box::new(EctsStream {
+            model: self,
+            query: Vec::with_capacity(self.len),
+            dist: vec![0.0; self.train.len()],
+            folded: 0,
+        }))
     }
 }
 
+/// One incoming series: the squared distance of its prefix to every
+/// training series, extended by each pushed row instead of recomputed.
 struct EctsStream<'a> {
     model: &'a Ects,
+    /// Pushed values, up to the model length (later ones are ignored,
+    /// as the nearest-neighbour match truncates to that length).
+    query: Vec<f64>,
+    /// `dist[j]` = squared distance of `query[..folded]` to training
+    /// series `j`, summed in time order.
+    dist: Vec<f64>,
+    folded: usize,
 }
 
 impl StreamState for EctsStream<'_> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        let x = first_value(row)?;
+        if self.query.len() < self.model.len {
+            self.query.push(x);
+        }
+        Ok(())
+    }
+
+    /// Picks the first training series with the strictly smallest
+    /// distance. This is `etsc_ml::knn::nearest_prefix` on the whole
+    /// prefix, bit for bit: its early abandon only skips sums that
+    /// cannot win, the winner's sum is accumulated in the same order,
+    /// and a NaN sum never wins in either.
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
         let m = self.model;
-        let l = prefix.len().min(m.len);
+        let l = self.query.len();
         if l == 0 {
             return Ok(None);
         }
-        let refs: Vec<&[f64]> = m.train.iter().map(|s| s.as_slice()).collect();
-        let query = &prefix.var(0)[..l];
-        let (nn, _) = nearest_prefix(&refs, query)?;
+        for (t, &x) in self.query.iter().enumerate().skip(self.folded) {
+            for (d, s) in self.dist.iter_mut().zip(&m.train) {
+                if let Some(&a) = s.get(t) {
+                    *d += (a - x) * (a - x);
+                }
+            }
+        }
+        self.folded = l;
+        let mut nn = (0usize, f64::INFINITY);
+        for (j, (s, &d)) in m.train.iter().zip(&self.dist).enumerate() {
+            if s.len() < l {
+                return Err(MlError::DimensionMismatch {
+                    expected: l,
+                    got: s.len(),
+                }
+                .into());
+            }
+            if d < nn.1 {
+                nn = (j, d);
+            }
+        }
+        let nn = nn.0;
         if l >= m.mpl[nn] || is_final || l >= m.len {
             return Ok(Some(m.labels[nn]));
         }
@@ -229,7 +272,7 @@ impl StreamState for EctsStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_data::{DatasetBuilder, Series};
+    use etsc_data::{DatasetBuilder, MultiSeries, Series};
 
     /// Two classes that separate from t=2 onward.
     fn toy() -> Dataset {
@@ -324,12 +367,35 @@ mod tests {
         let odd = MultiSeries::univariate(Series::new(vec![9.0; 6]));
         let mut got = None;
         for l in 1..=6 {
-            if let Some(lab) = stream.observe(&odd.prefix(l).unwrap(), l == 6).unwrap() {
+            stream.push(&[odd.at(0, l - 1)]).unwrap();
+            if let Some(lab) = stream.decide(l == 6).unwrap() {
                 got = Some(lab);
                 break;
             }
         }
         assert!(got.is_some());
+    }
+
+    #[test]
+    fn short_training_row_is_an_error_not_a_panic() {
+        let d = toy();
+        let mut ects = Ects::with_defaults();
+        ects.fit(&d).unwrap();
+        ects.train[1].truncate(2);
+        let mut stream = ects.start_stream().unwrap();
+        for t in 0..2 {
+            stream.push(&[d.instance(0).at(0, t)]).unwrap();
+            stream.decide(false).unwrap();
+        }
+        stream.push(&[0.0]).unwrap();
+        assert!(matches!(
+            stream.decide(true),
+            Err(EtscError::Ml(MlError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            }))
+        ));
+        assert!(stream.push(&[]).is_err());
     }
 
     #[test]
@@ -341,10 +407,8 @@ mod tests {
         let one = ects.predict_early(inst).unwrap();
         let mut stream = ects.start_stream().unwrap();
         for l in 1..=inst.len() {
-            if let Some(lab) = stream
-                .observe(&inst.prefix(l).unwrap(), l == inst.len())
-                .unwrap()
-            {
+            stream.push(&[inst.at(0, l - 1)]).unwrap();
+            if let Some(lab) = stream.decide(l == inst.len()).unwrap() {
                 assert_eq!(lab, one.label);
                 assert_eq!(l, one.prefix_len);
                 return;

@@ -20,9 +20,9 @@
 
 use std::time::{Duration, Instant};
 
-use etsc_data::{Dataset, Label, MultiSeries};
+use etsc_data::{Dataset, Label};
 
-use crate::algos::{equalized, require_univariate};
+use crate::algos::{equalized, first_value, require_univariate};
 use crate::error::EtscError;
 use crate::traits::{EarlyClassifier, StreamState};
 
@@ -101,22 +101,24 @@ fn min_distance(sub: &[f64], series: &[f64]) -> Option<f64> {
     Some((best / sub.len() as f64).sqrt())
 }
 
+/// Whether a shapelet matches the equally long `window` within its
+/// threshold (length-normalised distance).
+fn matches_at(sub: &[f64], threshold: f64, window: &[f64]) -> bool {
+    let mut d = 0.0;
+    for (a, b) in sub.iter().zip(window) {
+        d += (a - b) * (a - b);
+    }
+    (d / sub.len() as f64).sqrt() <= threshold
+}
+
 /// Earliest matching end-position of a shapelet within a series, when it
 /// matches at all.
 fn earliest_match(sub: &[f64], threshold: f64, series: &[f64]) -> Option<usize> {
     if series.len() < sub.len() {
         return None;
     }
-    for start in 0..=(series.len() - sub.len()) {
-        let mut d = 0.0;
-        for (a, b) in sub.iter().zip(&series[start..start + sub.len()]) {
-            d += (a - b) * (a - b);
-        }
-        if (d / sub.len() as f64).sqrt() <= threshold {
-            return Some(start + sub.len());
-        }
-    }
-    None
+    (sub.len()..=series.len())
+        .find(|&end| matches_at(sub, threshold, &series[end - sub.len()..end]))
 }
 
 impl Edsc {
@@ -340,42 +342,66 @@ impl EarlyClassifier for Edsc {
         if !self.fitted {
             return Err(EtscError::NotFitted);
         }
-        Ok(Box::new(EdscStream { model: self }))
+        Ok(Box::new(EdscStream {
+            model: self,
+            series: Vec::new(),
+            checked: 0,
+            hit: None,
+        }))
     }
 }
 
+/// One incoming series. An undecided stream has already tested every
+/// alignment ending at or before `checked` against every shapelet, so
+/// each `decide` tests only the alignments that end after it.
 struct EdscStream<'a> {
     model: &'a Edsc,
+    series: Vec<f64>,
+    /// Alignments ending at or before this many points are tested.
+    checked: usize,
+    /// Lowest-index shapelet that matched a tested alignment; only
+    /// shapelets before it can still take over the verdict.
+    hit: Option<usize>,
 }
 
 impl StreamState for EdscStream<'_> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
-        let series = prefix.var(0);
-        for s in &self.model.shapelets {
-            if s.values.len() > series.len() {
-                continue;
-            }
-            if let Some(d) = min_distance(&s.values, series) {
-                if d <= s.threshold {
-                    return Ok(Some(s.class));
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        self.series.push(first_value(row)?);
+        Ok(())
+    }
+
+    /// The first shapelet, in list order, that matches any alignment of
+    /// the prefix: the whole-prefix scan's verdict. Testing alignments
+    /// one by one agrees with comparing the shapelet's minimum distance,
+    /// except for a `+∞` threshold against alignments that are all NaN;
+    /// training with `k ≥ 0` never yields `+∞` (an infinite
+    /// `mean − k·std` comes out NaN).
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
+        let shapelets = &self.model.shapelets;
+        let n = self.series.len();
+        let limit = self.hit.unwrap_or(shapelets.len());
+        'shapelets: for (k, s) in shapelets[..limit].iter().enumerate() {
+            let m = s.values.len();
+            for end in (self.checked + 1).max(m)..=n {
+                if matches_at(&s.values, s.threshold, &self.series[end - m..end]) {
+                    self.hit = Some(k);
+                    break 'shapelets;
                 }
             }
         }
-        if is_final {
-            return Ok(Some(self.model.majority));
+        self.checked = n;
+        match self.hit {
+            Some(k) => Ok(Some(shapelets[k].class)),
+            None if is_final => Ok(Some(self.model.majority)),
+            None => Ok(None),
         }
-        Ok(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_data::{DatasetBuilder, Series};
+    use etsc_data::{DatasetBuilder, MultiSeries, Series};
 
     /// Class "spike" has a sharp early bump, class "flat" does not.
     fn toy() -> Dataset {

@@ -22,6 +22,14 @@ pub(crate) fn require_univariate(data: &Dataset) -> Result<(), EtscError> {
     Ok(())
 }
 
+/// The value a univariate stream reads from a pushed row: its first
+/// variable.
+pub(crate) fn first_value(row: &[f64]) -> Result<f64, EtscError> {
+    row.first()
+        .copied()
+        .ok_or_else(|| EtscError::IncompatibleInstance("observation has no variables".into()))
+}
+
 /// Equal-length view used by the prefix-indexed algorithms: every
 /// instance truncated to the shortest instance length.
 pub(crate) fn equalized(data: &Dataset) -> Result<(Dataset, usize), EtscError> {

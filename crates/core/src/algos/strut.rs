@@ -18,7 +18,7 @@
 
 // Indexed loops keep the gradient/index math readable here.
 #![allow(clippy::needless_range_loop)]
-use etsc_data::{cv::train_validation_split, Dataset, Label, MultiSeries};
+use etsc_data::{cv::train_validation_split, Dataset, Label, PrefixBuffer};
 
 use crate::error::EtscError;
 use crate::full::{
@@ -436,7 +436,10 @@ impl<F: FullClassifierTrait> EarlyClassifier for Strut<F> {
         if self.model.is_none() {
             return Err(EtscError::NotFitted);
         }
-        Ok(Box::new(StrutStream { model: self }))
+        Ok(Box::new(StrutStream {
+            model: self,
+            buf: PrefixBuffer::new(),
+        }))
     }
 
     fn supports_multivariate(&self) -> bool {
@@ -446,30 +449,25 @@ impl<F: FullClassifierTrait> EarlyClassifier for Strut<F> {
 
 struct StrutStream<'a, F: FullClassifierTrait> {
     model: &'a Strut<F>,
+    buf: PrefixBuffer,
 }
 
 impl<F: FullClassifierTrait> StreamState for StrutStream<'_, F> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        Ok(self.buf.push(row)?)
+    }
+
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
         let m = self.model;
         let clf = m.model.as_ref().ok_or(EtscError::NotFitted)?;
-        if prefix.len() >= m.best_t {
-            let window = prefix.prefix(m.best_t)?;
+        if self.buf.len() >= m.best_t {
+            let window = self.buf.prefix(m.best_t)?;
             return Ok(Some(clf.predict(&window)?));
         }
         if is_final {
             // Instance shorter than the chosen point: score the truncated
-            // model on a zero-padded window (degenerate but total).
-            let mut rows = Vec::with_capacity(prefix.vars());
-            for v in 0..prefix.vars() {
-                let mut row = prefix.var(v).to_vec();
-                row.resize(m.best_t, *row.last().unwrap_or(&0.0));
-                rows.push(row);
-            }
-            let window = MultiSeries::from_rows(rows)?;
+            // model on a last-value-padded window (degenerate but total).
+            let window = self.buf.padded(m.best_t)?;
             return Ok(Some(clf.predict(&window)?));
         }
         Ok(None)
@@ -479,7 +477,7 @@ impl<F: FullClassifierTrait> StreamState for StrutStream<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_data::{DatasetBuilder, Series};
+    use etsc_data::{DatasetBuilder, MultiSeries, Series};
 
     /// Classes separable from t = 8 of 24.
     fn toy() -> Dataset {

@@ -16,7 +16,7 @@
 
 // Indexed loops keep the gradient/index math readable here.
 #![allow(clippy::needless_range_loop)]
-use etsc_data::{Dataset, Label, MultiSeries};
+use etsc_data::{Dataset, Label, MultiSeries, PrefixBuffer};
 use etsc_ml::logistic::LogisticConfig;
 use etsc_ml::ocsvm::{OcSvmConfig, OneClassSvm};
 use etsc_ml::Matrix;
@@ -128,11 +128,11 @@ impl Teaser {
         &self.prefix_lengths
     }
 
-    fn normalize(&self, instance: &MultiSeries) -> MultiSeries {
+    fn normalize(&self, instance: MultiSeries) -> MultiSeries {
         if self.config.z_normalize {
             instance.z_normalized()
         } else {
-            instance.clone()
+            instance
         }
     }
 
@@ -273,8 +273,11 @@ impl EarlyClassifier for Teaser {
             .map(|l| l.clamp(1, len))
             .collect();
         prefix_lengths.dedup();
-        let normalized: Vec<MultiSeries> =
-            data.instances().iter().map(|x| self.normalize(x)).collect();
+        let normalized: Vec<MultiSeries> = data
+            .instances()
+            .iter()
+            .map(|x| self.normalize(x.clone()))
+            .collect();
         let norm_data = Dataset::new(
             data.name().to_owned(),
             normalized,
@@ -401,6 +404,7 @@ impl EarlyClassifier for Teaser {
         }
         Ok(Box::new(TeaserStream {
             model: self,
+            buf: PrefixBuffer::new(),
             next_prefix: 0,
             streak_label: None,
             streak: 0,
@@ -410,20 +414,30 @@ impl EarlyClassifier for Teaser {
 
 struct TeaserStream<'a> {
     model: &'a Teaser,
+    buf: PrefixBuffer,
     next_prefix: usize,
     streak_label: Option<Label>,
     streak: usize,
 }
 
 impl StreamState for TeaserStream<'_> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        Ok(self.buf.push(row)?)
+    }
+
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
         let m = self.model;
-        let normalized = m.normalize(prefix);
-        let available = normalized.len().min(m.len);
+        let available = self.buf.len().min(m.len);
+        let due = m
+            .prefix_lengths
+            .get(self.next_prefix)
+            .is_some_and(|&pl| pl <= available);
+        if !due && !is_final {
+            return Ok(None);
+        }
+        // Normalisation reads the whole prefix, so it is redone at each
+        // evaluation.
+        let normalized = m.normalize(self.buf.prefix(self.buf.len())?);
         while self.next_prefix < m.prefix_lengths.len()
             && m.prefix_lengths[self.next_prefix] <= available
         {
@@ -565,10 +579,8 @@ mod tests {
         let one = teaser.predict_early(inst).unwrap();
         let mut stream = teaser.start_stream().unwrap();
         for l in 1..=inst.len() {
-            if let Some(lab) = stream
-                .observe(&inst.prefix(l).unwrap(), l == inst.len())
-                .unwrap()
-            {
+            stream.push(&[inst.at(0, l - 1)]).unwrap();
+            if let Some(lab) = stream.decide(l == inst.len()).unwrap() {
                 assert_eq!(lab, one.label);
                 assert_eq!(l, one.prefix_len);
                 return;

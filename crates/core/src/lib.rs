@@ -20,8 +20,12 @@
 //!
 //! Every algorithm implements [`EarlyClassifier`]: `fit` on a
 //! [`etsc_data::Dataset`], then either one-shot [`EarlyClassifier::predict_early`]
-//! or a streaming [`StreamState`] session that consumes growing prefixes —
-//! the online mode whose per-decision latency Figure 13 evaluates.
+//! or a streaming [`StreamState`] session that takes one observation at
+//! a time ([`StreamState::push`]) and evaluates what it has on request
+//! ([`StreamState::decide`]) — the online mode whose per-decision
+//! latency Figure 13 evaluates. ECTS and EDSC keep incremental state, so
+//! a row costs them O(training series) and O(Σ shapelet lengths)
+//! instead of a rescan of the prefix.
 
 pub mod algos;
 pub mod error;

@@ -17,21 +17,36 @@ pub struct EarlyPrediction {
     pub prefix_len: usize,
 }
 
-/// A per-instance streaming session: feed growing prefixes, get a label
-/// once the algorithm commits.
+/// A per-instance streaming session, fed one observation at a time.
+///
+/// The caller [`push`](StreamState::push)es each row as it arrives and
+/// calls [`decide`](StreamState::decide) whenever it wants the prefix
+/// pushed so far evaluated: after every row, or only at batch
+/// boundaries. `push` only appends, at amortised O(vars); the model's
+/// work happens in `decide`, so an implementation can keep incremental
+/// state and pay for each row once instead of rescanning the prefix
+/// on every evaluation.
 pub trait StreamState {
-    /// Observes the prefix seen so far (the *whole* prefix, not a delta).
+    /// Appends one observation: one value per variable, in variable
+    /// order. Univariate algorithms read the first value.
+    ///
+    /// # Errors
+    /// [`EtscError::IncompatibleInstance`] or [`EtscError::Data`] on a
+    /// row whose variable count the stream cannot take.
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError>;
+
+    /// Evaluates everything pushed so far.
     ///
     /// Returns `Some(label)` when the algorithm commits to a prediction.
-    /// With `is_final = true` (the last time point has arrived) an
-    /// implementation **must** return a label — every algorithm in the
-    /// paper falls back to its full-length prediction.
+    /// With `is_final = true` (the last time point has arrived, or the
+    /// caller forces a verdict on the prefix it has) an implementation
+    /// **must** return a label once at least one row was pushed — every
+    /// algorithm in the paper falls back to its full-length prediction.
     ///
     /// # Errors
     /// Propagates model failures; implementations must not panic on
     /// short prefixes.
-    fn observe(&mut self, prefix: &MultiSeries, is_final: bool)
-        -> Result<Option<Label>, EtscError>;
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError>;
 }
 
 /// An early time-series classifier.
@@ -55,16 +70,19 @@ pub trait EarlyClassifier {
     /// it as a stream and stops at the first committed prediction.
     ///
     /// # Errors
-    /// Propagates `start_stream` / `observe` failures.
+    /// Propagates `start_stream` / `push` / `decide` failures.
     fn predict_early(&self, instance: &MultiSeries) -> Result<EarlyPrediction, EtscError> {
         let mut stream = self.start_stream()?;
         let len = instance.len();
-        for l in 1..=len {
-            let prefix = instance.prefix(l)?;
-            if let Some(label) = stream.observe(&prefix, l == len)? {
+        let mut row = Vec::with_capacity(instance.vars());
+        for t in 0..len {
+            row.clear();
+            row.extend((0..instance.vars()).map(|v| instance.at(v, t)));
+            stream.push(&row)?;
+            if let Some(label) = stream.decide(t + 1 == len)? {
                 return Ok(EarlyPrediction {
                     label,
-                    prefix_len: l,
+                    prefix_len: t + 1,
                 });
             }
         }
@@ -133,15 +151,17 @@ mod tests {
     struct FixedStream {
         at: usize,
         label: Label,
+        seen: usize,
     }
 
     impl StreamState for FixedStream {
-        fn observe(
-            &mut self,
-            prefix: &MultiSeries,
-            is_final: bool,
-        ) -> Result<Option<Label>, EtscError> {
-            if prefix.len() >= self.at || is_final {
+        fn push(&mut self, _row: &[f64]) -> Result<(), EtscError> {
+            self.seen += 1;
+            Ok(())
+        }
+
+        fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
+            if self.seen >= self.at || is_final {
                 Ok(Some(self.label))
             } else {
                 Ok(None)
@@ -160,6 +180,7 @@ mod tests {
             Ok(Box::new(FixedStream {
                 at: self.at,
                 label: self.label,
+                seen: 0,
             }))
         }
     }

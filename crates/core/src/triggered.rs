@@ -13,7 +13,7 @@
 //! Platt/isotonic calibration maps), then the snapshots are refitted on
 //! the full training set.
 
-use etsc_data::{cv::train_validation_split, Dataset, Label, MultiSeries};
+use etsc_data::{cv::train_validation_split, Dataset, Label, PrefixBuffer};
 use etsc_trigger::{
     CalibratedThreshold, Calibrator, Decision, ExpectedCost, FittedTrigger, FixedThreshold,
     Isotonic, Patience, Platt, Trigger, TriggerFitData, TriggerSpec,
@@ -277,6 +277,7 @@ impl<F: FullClassifierTrait> EarlyClassifier for TriggeredClassifier<F> {
         let trigger = self.trigger.clone().ok_or(EtscError::NotFitted)?;
         Ok(Box::new(TriggeredStream {
             model: self,
+            buf: PrefixBuffer::new(),
             trigger,
             next: 0,
             last_probs: None,
@@ -293,21 +294,22 @@ impl<F: FullClassifierTrait> EarlyClassifier for TriggeredClassifier<F> {
 /// (patience streaks) never leaks across instances.
 struct TriggeredStream<'a, F: FullClassifierTrait> {
     model: &'a TriggeredClassifier<F>,
+    buf: PrefixBuffer,
     trigger: FittedTrigger,
     next: usize,
     last_probs: Option<Vec<f64>>,
 }
 
 impl<F: FullClassifierTrait> StreamState for TriggeredStream<'_, F> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        Ok(self.buf.push(row)?)
+    }
+
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
         let m = self.model;
-        while self.next < m.snapshots.len() && m.snapshots[self.next].0 <= prefix.len() {
+        while self.next < m.snapshots.len() && m.snapshots[self.next].0 <= self.buf.len() {
             let (t, clf) = &m.snapshots[self.next];
-            let window = prefix.prefix(*t)?;
+            let window = self.buf.prefix(*t)?;
             let probs = clf.predict_proba(&window)?;
             let decision = self.trigger.observe(&probs, *t, m.len);
             self.next += 1;
@@ -326,13 +328,7 @@ impl<F: FullClassifierTrait> StreamState for TriggeredStream<'_, F> {
             // Instance shorter than the first checkpoint: score on a
             // last-value-padded window (degenerate but total).
             let (t, clf) = m.snapshots.first().ok_or(EtscError::NotFitted)?;
-            let mut rows = Vec::with_capacity(prefix.vars());
-            for v in 0..prefix.vars() {
-                let mut row = prefix.var(v).to_vec();
-                row.resize(*t, *row.last().unwrap_or(&0.0));
-                rows.push(row);
-            }
-            let window = MultiSeries::from_rows(rows)?;
+            let window = self.buf.padded(*t)?;
             return Ok(Some(clf.predict(&window)?));
         }
         Ok(None)
@@ -512,7 +508,7 @@ pub fn decode_calibrator(d: &mut etsc_data::Decoder) -> Result<Calibrator, etsc_
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_data::{DatasetBuilder, Series};
+    use etsc_data::{DatasetBuilder, MultiSeries, Series};
     use etsc_trigger::TriggerKind;
 
     /// Classes separable from t = 8 of 24.

@@ -325,6 +325,7 @@ impl<C: EarlyClassifier + Send> EarlyClassifier for VotingAdapter<C> {
             adapter: self,
             streams,
             committed: vec![None; self.voters.len()],
+            len: 0,
         }))
     }
 
@@ -357,28 +358,37 @@ struct VotingStream<'a, C: EarlyClassifier> {
     adapter: &'a VotingAdapter<C>,
     streams: Vec<Box<dyn StreamState + 'a>>,
     committed: Vec<Option<(Label, usize)>>,
+    /// Rows pushed so far.
+    len: usize,
 }
 
 impl<C: EarlyClassifier> StreamState for VotingStream<'_, C> {
-    fn observe(
-        &mut self,
-        prefix: &MultiSeries,
-        is_final: bool,
-    ) -> Result<Option<Label>, EtscError> {
-        if prefix.vars() != self.streams.len() {
+    /// Pushes variable `v` into voter `v`; a voter that has committed
+    /// takes no more rows.
+    fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+        if row.len() != self.streams.len() {
             return Err(EtscError::IncompatibleInstance(format!(
-                "prefix has {} variables, adapter trained on {}",
-                prefix.vars(),
+                "observation has {} variables, adapter trained on {}",
+                row.len(),
                 self.streams.len()
             )));
         }
-        for (v, stream) in self.streams.iter_mut().enumerate() {
-            if self.committed[v].is_some() {
+        for ((stream, committed), x) in self.streams.iter_mut().zip(&self.committed).zip(row) {
+            if committed.is_none() {
+                stream.push(std::slice::from_ref(x))?;
+            }
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
+        for (stream, committed) in self.streams.iter_mut().zip(&mut self.committed) {
+            if committed.is_some() {
                 continue;
             }
-            let uni = MultiSeries::univariate(prefix.to_univariate(v));
-            if let Some(label) = stream.observe(&uni, is_final)? {
-                self.committed[v] = Some((label, prefix.len()));
+            if let Some(label) = stream.decide(is_final)? {
+                *committed = Some((label, self.len));
             }
         }
         let done = self.committed.iter().filter(|c| c.is_some()).count();
@@ -426,16 +436,19 @@ mod tests {
     struct MeanStream {
         threshold: f64,
         commit_at: usize,
+        values: Vec<f64>,
     }
 
     impl StreamState for MeanStream {
-        fn observe(
-            &mut self,
-            prefix: &MultiSeries,
-            is_final: bool,
-        ) -> Result<Option<Label>, EtscError> {
-            if prefix.len() >= self.commit_at || is_final {
-                let mean: f64 = prefix.var(0).iter().sum::<f64>() / prefix.len() as f64;
+        fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
+            assert_eq!(row.len(), 1, "voters see one variable");
+            self.values.push(row[0]);
+            Ok(())
+        }
+
+        fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
+            if self.values.len() >= self.commit_at || is_final {
+                let mean: f64 = self.values.iter().sum::<f64>() / self.values.len() as f64;
                 Ok(Some(usize::from(mean > self.threshold)))
             } else {
                 Ok(None)
@@ -464,6 +477,7 @@ mod tests {
             Ok(Box::new(MeanStream {
                 threshold: self.threshold,
                 commit_at: self.commit_at,
+                values: Vec::new(),
             }))
         }
     }
@@ -573,10 +587,9 @@ mod tests {
             let mut stream = a.start_stream().unwrap();
             let mut streamed = None;
             for l in 1..=inst.len() {
-                if let Some(label) = stream
-                    .observe(&inst.prefix(l).unwrap(), l == inst.len())
-                    .unwrap()
-                {
+                let row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, l - 1)).collect();
+                stream.push(&row).unwrap();
+                if let Some(label) = stream.decide(l == inst.len()).unwrap() {
                     streamed = Some((label, l));
                     break;
                 }
@@ -596,6 +609,11 @@ mod tests {
         a.fit(&d).unwrap();
         let wrong = MultiSeries::univariate(Series::new(vec![0.0; 6]));
         assert!(a.predict_early(&wrong).is_err());
+        let mut stream = a.start_stream().unwrap();
+        assert!(matches!(
+            stream.push(&[0.0]),
+            Err(EtscError::IncompatibleInstance(_))
+        ));
     }
 
     /// Voter that records the peak number of concurrently running fits.

@@ -2,10 +2,12 @@
 //! interface invariants the harness depends on.
 
 use etsc_core::{
-    EarlyClassifier, Ecec, EcecConfig, EconomyK, EconomyKConfig, Ects, EctsConfig, Edsc,
-    EdscConfig, Strut, StrutConfig, Teaser, TeaserConfig, TruncationSearch,
+    build_triggered, EarlyClassifier, Ecec, EcecConfig, EconomyK, EconomyKConfig, Ects, EctsConfig,
+    Edsc, EdscConfig, Strut, StrutConfig, Teaser, TeaserConfig, TriggeredBase, TriggeredConfig,
+    TruncationSearch, VotingAdapter,
 };
-use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
+use etsc_data::{Dataset, DatasetBuilder, Label, MultiSeries, Series};
+use etsc_trigger::TriggerSpec;
 
 fn toy() -> Dataset {
     let mut b = DatasetBuilder::new("contract");
@@ -50,30 +52,76 @@ fn all_algorithms() -> Vec<Box<dyn EarlyClassifier>> {
     ]
 }
 
+/// Drives a stream by hand, one pushed row and one `decide` per time
+/// point, and returns the first committed (label, prefix length).
+fn streamed(clf: &dyn EarlyClassifier, inst: &MultiSeries) -> Option<(Label, usize)> {
+    let mut stream = clf.start_stream().unwrap();
+    for t in 0..inst.len() {
+        let row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, t)).collect();
+        stream.push(&row).unwrap();
+        if let Some(label) = stream.decide(t + 1 == inst.len()).unwrap() {
+            return Some((label, t + 1));
+        }
+    }
+    None
+}
+
+/// Three-variable slow-vs-fast sines, one phase offset per variable.
+fn multivariate() -> Dataset {
+    let mut b = DatasetBuilder::new("mv");
+    for i in 0..12 {
+        let phase = i as f64 * 0.31;
+        let rows: Vec<Vec<f64>> = (0..3)
+            .map(|v| {
+                (0..20)
+                    .map(|t| {
+                        ((t as f64 * if i % 2 == 0 { 0.3 } else { 1.5 }) + phase + v as f64).sin()
+                    })
+                    .collect()
+            })
+            .collect();
+        b.push_named(
+            MultiSeries::from_rows(rows).unwrap(),
+            if i % 2 == 0 { "slow" } else { "fast" },
+        );
+    }
+    b.build().unwrap()
+}
+
 #[test]
 fn streaming_and_one_shot_agree_for_every_algorithm() {
     let data = toy();
     let train = data.subset(&(0..16).collect::<Vec<_>>());
-    for mut clf in all_algorithms() {
+    let mut algorithms: Vec<Box<dyn EarlyClassifier>> = all_algorithms();
+    algorithms.push(build_triggered(
+        TriggeredBase::Weasel,
+        TriggeredConfig::default(),
+        TriggerSpec::parse("threshold:0.8").unwrap(),
+    ));
+    for mut clf in algorithms {
         clf.fit(&train).unwrap();
         for i in 16..data.len() {
             let inst = data.instance(i);
             let one = clf.predict_early(inst).unwrap();
-            let mut stream = clf.start_stream().unwrap();
-            let mut streamed = None;
-            for l in 1..=inst.len() {
-                if let Some(label) = stream
-                    .observe(&inst.prefix(l).unwrap(), l == inst.len())
-                    .unwrap()
-                {
-                    streamed = Some((label, l));
-                    break;
-                }
-            }
-            let (label, l) = streamed.expect("stream commits by the final point");
+            let (label, l) = streamed(&*clf, inst).expect("stream commits by the final point");
             assert_eq!(label, one.label, "{} on instance {i}", clf.name());
             assert_eq!(l, one.prefix_len, "{} on instance {i}", clf.name());
         }
+    }
+    // The voting adapter overrides `predict_early` with per-voter
+    // one-shot predictions; its stream must reach the same verdict.
+    let mv = multivariate();
+    let mv_train = mv.subset(&(0..8).collect::<Vec<_>>());
+    let mut voting = VotingAdapter::new(|| Ects::new(EctsConfig { support: 0 }));
+    voting.fit(&mv_train).unwrap();
+    for i in 8..mv.len() {
+        let inst = mv.instance(i);
+        let one = voting.predict_early(inst).unwrap();
+        assert_eq!(
+            streamed(&voting, inst),
+            Some((one.label, one.prefix_len)),
+            "voting on {i}"
+        );
     }
 }
 
@@ -153,25 +201,7 @@ fn earliness_monotone_under_harder_time_pressure() {
 
 #[test]
 fn parallel_voting_fit_matches_sequential() {
-    use etsc_core::VotingAdapter;
-    let mut b = DatasetBuilder::new("mv");
-    for i in 0..12 {
-        let phase = i as f64 * 0.31;
-        let rows: Vec<Vec<f64>> = (0..3)
-            .map(|v| {
-                (0..20)
-                    .map(|t| {
-                        ((t as f64 * if i % 2 == 0 { 0.3 } else { 1.5 }) + phase + v as f64).sin()
-                    })
-                    .collect()
-            })
-            .collect();
-        b.push_named(
-            MultiSeries::from_rows(rows).unwrap(),
-            if i % 2 == 0 { "slow" } else { "fast" },
-        );
-    }
-    let data = b.build().unwrap();
+    let data = multivariate();
     let mut seq = VotingAdapter::new(|| Ects::new(EctsConfig { support: 0 }));
     seq.fit(&data).unwrap();
     let mut par = VotingAdapter::new(|| Ects::new(EctsConfig { support: 0 }));

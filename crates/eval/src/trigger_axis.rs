@@ -257,9 +257,12 @@ mod tests {
             let mut stream = clf.start_stream().unwrap();
             let mut decided = None;
             for t in 1..=inst.len() {
-                let prefix = inst.prefix(t).unwrap();
+                let row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, t - 1)).collect();
+                stream
+                    .push(&row)
+                    .unwrap_or_else(|e| panic!("{} failed at t={t}: {e}", combo.name()));
                 if let Some(label) = stream
-                    .observe(&prefix, t == inst.len())
+                    .decide(t == inst.len())
                     .unwrap_or_else(|e| panic!("{} failed at t={t}: {e}", combo.name()))
                 {
                     decided = Some((label, t));

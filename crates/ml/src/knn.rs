@@ -123,7 +123,9 @@ impl PrefixNnTable {
 }
 
 /// Nearest training series to `query` when both are truncated to
-/// `query.len()` points. Returns `(index, squared distance)`.
+/// `query.len()` points. Returns `(index, squared distance)`. ECTS
+/// streams keep these sums row by row instead; this whole-prefix scan
+/// is the reference their equivalence test checks them against.
 ///
 /// # Errors
 /// * [`MlError::EmptyTrainingSet`] with no training series or empty query;

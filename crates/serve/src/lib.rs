@@ -10,8 +10,8 @@
 //!   IEEE-754 bit patterns, so a loaded model predicts bit-identically
 //!   to the in-memory one;
 //! * [`session`] — one [`session::StreamSession`] per incoming time
-//!   series, feeding observations incrementally through the existing
-//!   [`etsc_core::StreamState`] machinery and re-evaluating per point or
+//!   series, pushing each observation into the algorithm's
+//!   [`etsc_core::StreamState`] and asking it to decide per point or
 //!   per prefix batch (ECEC/TEASER semantics);
 //! * [`table`] — the [`SessionTable`] both replay and the network
 //!   server evaluate sessions through: it opens sessions with their

@@ -3,15 +3,15 @@
 //! A [`StreamSession`] owns the server-side state of one incoming time
 //! series: the observations buffered so far, the algorithm's
 //! [`StreamState`], and the latency of every re-evaluation. Observations
-//! arrive one multivariate row at a time; the session re-evaluates the
-//! growing prefix either per point or per prefix batch — ECEC and
-//! TEASER only re-evaluate once a whole `L/N` batch has arrived, the
-//! same batch credit [`etsc_eval::online`] grants them in Figure 13.
+//! arrive one multivariate row at a time and are pushed straight into
+//! the stream; the session asks it to decide either per point or per
+//! prefix batch — ECEC and TEASER only re-evaluate once a whole `L/N`
+//! batch has arrived, the same batch credit [`etsc_eval::online`]
+//! grants them in Figure 13.
 
 use std::time::{Duration, Instant};
 
 use etsc_core::{EarlyClassifier, EarlyPrediction, EtscError, StreamState};
-use etsc_data::MultiSeries;
 use etsc_obs::Histogram as LatencyHistogram;
 
 /// What a session does when a re-evaluation misses its deadline.
@@ -67,7 +67,9 @@ pub enum FallbackKind {
 /// Streaming state for one time series being classified early.
 pub struct StreamSession<'m> {
     stream: Box<dyn StreamState + 'm>,
-    /// Buffered observations, one inner vector per variable.
+    /// Buffered observations, one inner vector per variable (what
+    /// [`StreamSession::series`] hands to feedback refits; the stream
+    /// keeps its own state).
     values: Vec<Vec<f64>>,
     expected_len: usize,
     batch: usize,
@@ -194,7 +196,7 @@ impl<'m> StreamSession<'m> {
     ///
     /// # Errors
     /// [`EtscError::IncompatibleInstance`] on a wrong-arity observation;
-    /// otherwise whatever the algorithm's `observe` propagates.
+    /// otherwise whatever the algorithm's `push` or `decide` propagates.
     pub fn push(&mut self, observation: &[f64]) -> Result<Option<EarlyPrediction>, EtscError> {
         self.push_with_delay(observation, None)
     }
@@ -224,24 +226,24 @@ impl<'m> StreamSession<'m> {
         for (var, &x) in self.values.iter_mut().zip(observation) {
             var.push(x);
         }
+        self.stream.push(observation)?;
         let t = self.values[0].len();
         let is_final = t >= self.expected_len;
         if !t.is_multiple_of(self.batch) && !is_final {
             return Ok(None);
         }
-        let prefix = MultiSeries::from_rows(self.values.clone()).map_err(EtscError::Data)?;
         let started = Instant::now();
         if let Some(delay) = injected_delay {
             std::thread::sleep(delay);
         }
-        let label = self.stream.observe(&prefix, is_final)?;
+        let label = self.stream.decide(is_final)?;
         let breached = self.record_eval(started.elapsed().as_secs_f64());
         // Deadline breach: the consumer was answered per policy at the
         // moment the budget expired, so a genuine label arriving late
         // cannot un-send that verdict — it is discarded (`PriorClass`)
         // or adopted as the forced current-best (`DecideNow`). Only
         // `Wait` accepts the late result. The final observation never
-        // falls back — `observe(_, true)` was already the forced
+        // falls back — `decide(true)` was already the forced
         // evaluation and the stream is over.
         if let (true, false, Some(cfg)) = (breached, is_final, self.deadline) {
             match cfg.policy {
@@ -256,9 +258,7 @@ impl<'m> StreamSession<'m> {
                 FallbackPolicy::DecideNow => {
                     // The breaching evaluation itself may already have
                     // produced the algorithm's current best.
-                    return self
-                        .commit_forced(&prefix, label, cfg.prior_label, false)
-                        .map(Some);
+                    return self.commit_forced(label, cfg.prior_label, false).map(Some);
                 }
             }
         }
@@ -276,7 +276,7 @@ impl<'m> StreamSession<'m> {
     /// already-decided session returns its committed prediction.
     ///
     /// # Errors
-    /// Whatever the algorithm's forced `observe` propagates.
+    /// Whatever the algorithm's forced `decide` propagates.
     pub fn force_decide(&mut self, prior_label: usize) -> Result<EarlyPrediction, EtscError> {
         if let Some(p) = self.decided {
             return Ok(p);
@@ -284,18 +284,16 @@ impl<'m> StreamSession<'m> {
         if self.observed() == 0 {
             return Ok(self.commit(prior_label, 0, Some(FallbackKind::DrainPrior)));
         }
-        let prefix = MultiSeries::from_rows(self.values.clone()).map_err(EtscError::Data)?;
-        self.commit_forced(&prefix, None, prior_label, true)
+        self.commit_forced(None, prior_label, true)
     }
 
     /// The one forced-decision path: commits `current` (a label the
     /// caller's evaluation already produced) or else the algorithm's
-    /// forced verdict on `prefix`, falling back to `prior_label` when
-    /// even that abstains. `drain` picks the `Drain*` kinds over the
-    /// `Deadline*` ones.
+    /// forced verdict on the observed prefix, falling back to
+    /// `prior_label` when even that abstains. `drain` picks the
+    /// `Drain*` kinds over the `Deadline*` ones.
     fn commit_forced(
         &mut self,
-        prefix: &MultiSeries,
         current: Option<usize>,
         prior_label: usize,
         drain: bool,
@@ -304,7 +302,7 @@ impl<'m> StreamSession<'m> {
             Some(label) => Some(label),
             None => {
                 let started = Instant::now();
-                let forced = self.stream.observe(prefix, true)?;
+                let forced = self.stream.decide(true)?;
                 self.record_eval(started.elapsed().as_secs_f64());
                 forced
             }
@@ -355,7 +353,7 @@ impl<'m> StreamSession<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_data::{Dataset, DatasetBuilder, Series};
+    use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
     use etsc_eval::experiment::{AlgoSpec, RunConfig};
 
     fn synthetic() -> Dataset {

@@ -37,5 +37,5 @@ pub use codec::{CodecError, Decoder, Encoder};
 pub use cv::{train_validation_split, Fold, StratifiedKFold};
 pub use dataset::{Dataset, DatasetBuilder, Label};
 pub use error::DataError;
-pub use series::{MultiSeries, Series};
+pub use series::{MultiSeries, PrefixBuffer, Series};
 pub use stats::{Category, DatasetStats};

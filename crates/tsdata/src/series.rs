@@ -232,6 +232,99 @@ impl MultiSeries {
     }
 }
 
+/// A multivariate series that grows one observation at a time: the
+/// prefix a streaming classifier has seen so far. Appending a row costs
+/// amortised O(vars); a [`MultiSeries`] is copied out only when a caller
+/// asks for one ([`PrefixBuffer::prefix`], [`PrefixBuffer::padded`]).
+#[derive(Debug, Clone, Default)]
+pub struct PrefixBuffer {
+    /// One growing row per variable; empty until the first push fixes
+    /// the variable count.
+    vars: Vec<Vec<f64>>,
+}
+
+impl PrefixBuffer {
+    /// An empty buffer; the first pushed row fixes the variable count.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one observation, one value per variable.
+    ///
+    /// # Errors
+    /// * [`DataError::Empty`] for a row with no variables;
+    /// * [`DataError::ShapeMismatch`] when the row's variable count
+    ///   differs from the first row's.
+    pub fn push(&mut self, row: &[f64]) -> Result<(), DataError> {
+        if row.is_empty() {
+            return Err(DataError::Empty("observation"));
+        }
+        if self.vars.is_empty() {
+            self.vars = vec![Vec::new(); row.len()];
+        } else if row.len() != self.vars.len() {
+            return Err(DataError::ShapeMismatch {
+                what: "variables per observation",
+                expected: self.vars.len(),
+                got: row.len(),
+            });
+        }
+        for (var, &x) in self.vars.iter_mut().zip(row) {
+            var.push(x);
+        }
+        Ok(())
+    }
+
+    /// Number of observations pushed.
+    pub fn len(&self) -> usize {
+        self.vars.first().map_or(0, Vec::len)
+    }
+
+    /// `true` before the first push.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A copy of the first `l` observations of every variable.
+    ///
+    /// # Errors
+    /// * [`DataError::Empty`] before the first push;
+    /// * [`DataError::PrefixOutOfRange`] when `l > self.len()`.
+    pub fn prefix(&self, l: usize) -> Result<MultiSeries, DataError> {
+        if l > self.len() {
+            return Err(DataError::PrefixOutOfRange {
+                requested: l,
+                len: self.len(),
+            });
+        }
+        self.padded(l)
+    }
+
+    /// A copy of the first `l` points of every variable, each repeating
+    /// its last observation past the end of the buffer: the degenerate
+    /// but total window for scoring an instance shorter than a model's
+    /// input length.
+    ///
+    /// # Errors
+    /// [`DataError::Empty`] before the first push.
+    pub fn padded(&self, l: usize) -> Result<MultiSeries, DataError> {
+        if self.vars.is_empty() {
+            return Err(DataError::Empty("variable set"));
+        }
+        let mut data = Vec::with_capacity(self.vars.len() * l);
+        for var in &self.vars {
+            let kept = var.len().min(l);
+            data.extend_from_slice(&var[..kept]);
+            let last = var.last().copied().unwrap_or(0.0);
+            data.resize(data.len() + (l - kept), last);
+        }
+        Ok(MultiSeries {
+            data,
+            vars: self.vars.len(),
+            len: l,
+        })
+    }
+}
+
 /// Arithmetic mean of a slice; 0.0 when empty.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -372,5 +465,27 @@ mod tests {
     #[should_panic]
     fn distance_panics_on_mismatch() {
         let _ = sq_euclidean(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn prefix_buffer_grows_row_by_row_and_copies_like_prefix() {
+        let ms = MultiSeries::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+        let mut buf = PrefixBuffer::new();
+        assert!(buf.is_empty());
+        assert!(buf.prefix(0).is_err(), "no variables before the first push");
+        for t in 0..ms.len() {
+            buf.push(&[ms.at(0, t), ms.at(1, t)]).unwrap();
+            assert_eq!(buf.len(), t + 1);
+            assert_eq!(buf.prefix(t + 1).unwrap(), ms.prefix(t + 1).unwrap());
+        }
+        assert_eq!(buf.prefix(1).unwrap(), ms.prefix(1).unwrap());
+        assert!(buf.prefix(4).is_err());
+        assert!(buf.push(&[1.0]).is_err(), "arity is fixed by the first row");
+        assert!(buf.push(&[]).is_err());
+        assert_eq!(buf.len(), 3);
+        let padded = buf.padded(5).unwrap();
+        assert_eq!(padded.var(0), &[1.0, 2.0, 3.0, 3.0, 3.0]);
+        assert_eq!(padded.var(1), &[4.0, 5.0, 6.0, 6.0, 6.0]);
+        assert_eq!(buf.padded(2).unwrap(), ms.prefix(2).unwrap());
     }
 }

@@ -69,8 +69,9 @@ fn main() {
         let mut stream = clf.start_stream().expect("fitted");
         let mut killed_at = None;
         for t in 1..=inst.len() {
-            let prefix = inst.prefix(t).expect("valid prefix");
-            if let Some(label) = stream.observe(&prefix, t == inst.len()).expect("observe") {
+            let row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, t - 1)).collect();
+            stream.push(&row).expect("push");
+            if let Some(label) = stream.decide(t == inst.len()).expect("decide") {
                 if label == non_interesting && t < inst.len() {
                     killed_at = Some(t);
                 }
