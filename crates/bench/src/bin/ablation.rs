@@ -20,6 +20,7 @@
 
 use std::time::Instant;
 
+use etsc_bench::diag;
 use etsc_core::{
     EarlyClassifier, Ecec, EcecConfig, Ects, EctsConfig, Strut, StrutConfig, Teaser, TeaserConfig,
     TruncationSearch, VotingAdapter, VotingScheme,
@@ -278,8 +279,8 @@ fn main() {
             tsmote(seed);
         }
         other => {
-            eprintln!("unknown study {other:?}");
-            eprintln!("studies: teaser-master teaser-znorm strut-search ecec-alpha voting-schemes tsmote all");
+            diag(format_args!("unknown study {other:?}"));
+            diag(format_args!("studies: teaser-master teaser-znorm strut-search ecec-alpha voting-schemes tsmote all"));
             std::process::exit(2);
         }
     }

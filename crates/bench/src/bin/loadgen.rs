@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use etsc_adapt::{Adapter, AdapterConfig, DetectorKind};
-use etsc_bench::ScalePreset;
+use etsc_bench::{diag, ScalePreset};
 use etsc_data::{Dataset, DatasetBuilder, MultiSeries};
 use etsc_datasets::{drift_stream, DriftKind, DriftOptions, PaperDataset};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
@@ -341,7 +341,7 @@ fn merge_baseline(
     let path = baseline.path.clone();
     baseline.network = Some(s);
     baseline.store();
-    eprintln!("merged network section into {path}");
+    diag(format_args!("merged network section into {path}"));
 }
 
 /// Merges a fleet run into `BENCH_baseline.json` as a `"fleet"`
@@ -392,7 +392,7 @@ fn merge_fleet_baseline(
     let path = baseline.path.clone();
     baseline.fleet = Some(s);
     baseline.store();
-    eprintln!("merged fleet section into {path}");
+    diag(format_args!("merged fleet section into {path}"));
 }
 
 /// A contiguous slice of a stream as its own dataset, with the full
@@ -454,7 +454,7 @@ fn merge_adapt_baseline(
     let path = baseline.path.clone();
     baseline.adapt = Some(s);
     baseline.store();
-    eprintln!("merged adapt section into {path}");
+    diag(format_args!("merged adapt section into {path}"));
 }
 
 /// Drift mode: serve an adapting model through the wire path and
@@ -479,13 +479,13 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
     let stored = match fit_model(algo, &train, &RunConfig::fast()) {
         Ok(stored) => Arc::new(stored),
         Err(e) => {
-            eprintln!("error: {} does not fit: {e}", algo.name());
+            diag(format_args!("error: {} does not fit: {e}", algo.name()));
             return false;
         }
     };
     let dir = std::env::temp_dir().join("etsc-loadgen-drift");
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: creating model store dir: {e}");
+        diag(format_args!("error: creating model store dir: {e}"));
         return false;
     }
     let model_path = dir.join("adaptive.model");
@@ -510,7 +510,7 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
     ) {
         Ok(server) => Arc::new(server),
         Err(e) => {
-            eprintln!("error: binding loopback: {e}");
+            diag(format_args!("error: binding loopback: {e}"));
             return false;
         }
     };
@@ -518,7 +518,7 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
         let server = Arc::clone(&server);
         adapter.set_swap_hook(move |model| {
             if let Err(e) = server.reload(model) {
-                eprintln!("error: hot-swap reload: {e}");
+                diag(format_args!("error: hot-swap reload: {e}"));
             }
         });
     }
@@ -547,7 +547,7 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
         std::thread::spawn(move || {
             while !stop.load(std::sync::atomic::Ordering::SeqCst) {
                 if let Err(e) = adapter.poll() {
-                    eprintln!("error: adapter poll: {e}");
+                    diag(format_args!("error: adapter poll: {e}"));
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -583,7 +583,7 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
             let _ = c.wait_drain(Duration::from_secs(10));
         }
         Err(e) => {
-            eprintln!("error: drain connect: {e}");
+            diag(format_args!("error: drain connect: {e}"));
             stopper_ok = false;
         }
     }
@@ -609,22 +609,22 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
         recovered,
     );
     for e in wave1.errors.iter().chain(&wave2.errors) {
-        eprintln!("error: {e}");
+        diag(format_args!("error: {e}"));
     }
     let mut ok = stopper_ok && wave1.clean() && wave2.clean();
     if stats.open_sessions() != 0 {
-        eprintln!(
+        diag(format_args!(
             "error: leaked {} sessions server-side",
             stats.open_sessions()
-        );
+        ));
         ok = false;
     }
     if a.drifts == 0 {
-        eprintln!("error: the step drift was never detected");
+        diag(format_args!("error: the step drift was never detected"));
         ok = false;
     }
     if a.swaps == 0 {
-        eprintln!("error: no hot-swap was committed");
+        diag(format_args!("error: no hot-swap was committed"));
         ok = false;
     }
     if ok {
@@ -707,7 +707,7 @@ fn merge_overload_baseline(
     let path = baseline.path.clone();
     baseline.overload = Some(s);
     baseline.store();
-    eprintln!("merged overload section into {path}");
+    diag(format_args!("merged overload section into {path}"));
 }
 
 /// Overload mode: make server capacity a known quantity by arming a
@@ -724,7 +724,7 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
     let stored = match fit_model(algo, data, &RunConfig::fast()) {
         Ok(stored) => Arc::new(stored),
         Err(e) => {
-            eprintln!("error: {} does not fit: {e}", algo.name());
+            diag(format_args!("error: {} does not fit: {e}", algo.name()));
             return false;
         }
     };
@@ -748,7 +748,7 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
         ) {
             Ok(server) => server,
             Err(e) => {
-                eprintln!("error: binding loopback: {e}");
+                diag(format_args!("error: binding loopback: {e}"));
                 return None;
             }
         };
@@ -777,18 +777,18 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
         );
         let stats = server.join();
         if !report.accounted() || report.dropped != 0 || !report.errors.is_empty() {
-            eprintln!(
+            diag(format_args!(
                 "error: overload point x{depth} lost sessions: \
                  {} dropped, errors: {:?}",
                 report.dropped, report.errors
-            );
+            ));
             ok = false;
         }
         if stats.open_sessions() != 0 {
-            eprintln!(
+            diag(format_args!(
                 "error: overload point x{depth} leaked {} sessions",
                 stats.open_sessions()
-            );
+            ));
             ok = false;
         }
         Some(OverloadPoint {
@@ -829,11 +829,11 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
     // of calibrated capacity — queue, don't collapse.
     if let Some(worst) = points.iter().find(|p| p.offered == 5) {
         if worst.goodput() < 0.8 * base_goodput {
-            eprintln!(
+            diag(format_args!(
                 "error: goodput collapsed under 5x offered load: {:.1}/s vs {:.1}/s calibrated",
                 worst.goodput(),
                 base_goodput
-            );
+            ));
             ok = false;
         }
     }
@@ -853,13 +853,13 @@ fn run_fleet_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
     let stored = match fit_model(algo, data, &RunConfig::fast()) {
         Ok(stored) => stored,
         Err(e) => {
-            eprintln!("error: {} does not fit: {e}", algo.name());
+            diag(format_args!("error: {} does not fit: {e}", algo.name()));
             return false;
         }
     };
     let dir = std::env::temp_dir().join("etsc-loadgen-fleet");
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: creating model store dir: {e}");
+        diag(format_args!("error: creating model store dir: {e}"));
         return false;
     }
     let paths: Vec<std::path::PathBuf> = (0..args.shards)
@@ -880,7 +880,7 @@ fn run_fleet_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
     let models = match models {
         Ok(models) => models,
         Err(e) => {
-            eprintln!("error: replicating the model store: {e}");
+            diag(format_args!("error: replicating the model store: {e}"));
             return false;
         }
     };
@@ -916,19 +916,22 @@ fn run_fleet_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
         r.planned_drains,
     );
     for e in &report.load.errors {
-        eprintln!("error: {e}");
+        diag(format_args!("error: {e}"));
     }
     let mut ok = report.clean();
     for (i, shard) in report.shards.iter().enumerate() {
         if let Some(stats) = &shard.stats {
             if stats.open_sessions() != 0 {
-                eprintln!("error: shard {i} leaked {} sessions", stats.open_sessions());
+                diag(format_args!(
+                    "error: shard {i} leaked {} sessions",
+                    stats.open_sessions()
+                ));
                 ok = false;
             }
         }
     }
     if plan.kill_shard.is_some() && report.kill_step.is_none() {
-        eprintln!("error: the armed shard kill never fired");
+        diag(format_args!("error: the armed shard kill never fired"));
         ok = false;
     }
     if ok {
@@ -941,7 +944,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
         Err(msg) => {
-            eprintln!("error: {msg}");
+            diag(format_args!("error: {msg}"));
             return ExitCode::from(2);
         }
     };
@@ -993,13 +996,13 @@ fn main() -> ExitCode {
             );
             row.absorb(&drain);
             if !drain.drained {
-                eprintln!("error: server did not acknowledge the drain");
+                diag(format_args!("error: server did not acknowledge the drain"));
                 ok = false;
             }
         }
         println!("{}", row.render());
         for e in &row.errors {
-            eprintln!("error: {e}");
+            diag(format_args!("error: {e}"));
         }
         ok = ok && row.clean();
     } else {
@@ -1011,14 +1014,17 @@ fn main() -> ExitCode {
             let stored = match fit_model(algo, &data, &config) {
                 Ok(stored) => Arc::new(stored),
                 Err(e) => {
-                    eprintln!("{:<9} skipped: {e}", algo.name());
+                    diag(format_args!("{:<9} skipped: {e}", algo.name()));
                     continue;
                 }
             };
             let server = match NetServer::bind(stored, "127.0.0.1:0", ServerConfig::default()) {
                 Ok(server) => server,
                 Err(e) => {
-                    eprintln!("error: binding loopback for {}: {e}", algo.name());
+                    diag(format_args!(
+                        "error: binding loopback for {}: {e}",
+                        algo.name()
+                    ));
                     ok = false;
                     continue;
                 }
@@ -1030,22 +1036,24 @@ fn main() -> ExitCode {
             server.shutdown();
             let stats = server.join();
             if stats.open_sessions() != 0 {
-                eprintln!(
+                diag(format_args!(
                     "error: {} leaked {} sessions server-side",
                     algo.name(),
                     stats.open_sessions()
-                );
+                ));
                 ok = false;
             }
             println!("{}", row.render());
             for e in &row.errors {
-                eprintln!("error: {e}");
+                diag(format_args!("error: {e}"));
             }
             ok = ok && row.clean();
             rows.push(row);
         }
         if rows.is_empty() {
-            eprintln!("error: no algorithm produced a servable model");
+            diag(format_args!(
+                "error: no algorithm produced a servable model"
+            ));
             ok = false;
         } else {
             merge_baseline(

@@ -48,7 +48,7 @@
 //! (OK/DNF/ERR/PANIC per cell) is printed after a supervised sweep.
 
 use etsc_bench::{
-    biological_early_savings, render_table2, render_table3, render_table4, render_table5,
+    biological_early_savings, diag, render_table2, render_table3, render_table4, render_table5,
     run_sweep, run_sweep_parallel, run_sweep_supervised, ScalePreset, SweepOutput,
 };
 use etsc_datasets::PaperDataset;
@@ -141,12 +141,12 @@ fn parse_args() -> Result<Args, String> {
 fn write_out(dir: &Option<std::path::PathBuf>, name: &str, content: &str) {
     if let Some(dir) = dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {dir:?}: {e}");
+            diag(format_args!("warning: cannot create {dir:?}: {e}"));
             return;
         }
         let path = dir.join(name);
         if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("warning: cannot write {path:?}: {e}");
+            diag(format_args!("warning: cannot write {path:?}: {e}"));
         } else {
             println!("wrote {path:?}");
         }
@@ -175,7 +175,7 @@ fn sweep(args: &Args) -> SweepOutput {
             |line| println!("{line}"),
         )
         .unwrap_or_else(|e| {
-            eprintln!("supervised sweep failed: {e}");
+            diag(format_args!("supervised sweep failed: {e}"));
             std::process::exit(1);
         });
         let datasets: Vec<String> = out.dataset_meta.keys().cloned().collect();
@@ -215,7 +215,7 @@ fn sweep(args: &Args) -> SweepOutput {
         )
     };
     result.unwrap_or_else(|e| {
-        eprintln!("sweep failed: {e}");
+        diag(format_args!("sweep failed: {e}"));
         std::process::exit(1);
     })
 }
@@ -354,7 +354,7 @@ fn run_smoke(args: &Args, obs: &Obs) {
         .obs(obs.clone())
         .run(&generated, &algos)
         .unwrap_or_else(|e| {
-            eprintln!("smoke matrix failed: {e}");
+            diag(format_args!("smoke matrix failed: {e}"));
             std::process::exit(1);
         });
     let names: Vec<String> = generated.iter().map(|d| d.name().to_owned()).collect();
@@ -366,7 +366,7 @@ fn run_smoke(args: &Args, obs: &Obs) {
 
     let records = obs.tracer.records();
     let tree = TraceTree::build(&records).unwrap_or_else(|e| {
-        eprintln!("smoke trace is structurally invalid: {e}");
+        diag(format_args!("smoke trace is structurally invalid: {e}"));
         std::process::exit(1);
     });
     let mut checked_cells = 0usize;
@@ -374,7 +374,10 @@ fn run_smoke(args: &Args, obs: &Obs) {
     let mut transform_spans = 0usize;
     for cv in tree.spans_named("cv") {
         let (Some(dataset), Some(algo)) = (cv.attr("dataset"), cv.attr("algo")) else {
-            eprintln!("cv span {} is missing dataset/algo attributes", cv.id);
+            diag(format_args!(
+                "cv span {} is missing dataset/algo attributes",
+                cv.id
+            ));
             std::process::exit(1);
         };
         let result = outcomes
@@ -382,7 +385,9 @@ fn run_smoke(args: &Args, obs: &Obs) {
             .filter_map(|o| o.run_result())
             .find(|r| r.dataset == dataset && r.algo.name() == algo)
             .unwrap_or_else(|| {
-                eprintln!("cv span for {algo} on {dataset} has no matching result");
+                diag(format_args!(
+                    "cv span for {algo} on {dataset} has no matching result"
+                ));
                 std::process::exit(1);
             });
         let folds: Vec<_> = tree
@@ -399,14 +404,17 @@ fn run_smoke(args: &Args, obs: &Obs) {
                 .filter_map(|&id| tree.span(id))
                 .collect();
             let fit = kids.iter().find(|s| s.name == "fit").unwrap_or_else(|| {
-                eprintln!("fold {} of {algo} on {dataset} has no fit span", fold.id);
+                diag(format_args!(
+                    "fold {} of {algo} on {dataset} has no fit span",
+                    fold.id
+                ));
                 std::process::exit(1);
             });
             if !kids.iter().any(|s| s.name == "predict") {
-                eprintln!(
+                diag(format_args!(
                     "fold {} of {algo} on {dataset} has no predict span",
                     fold.id
-                );
+                ));
                 std::process::exit(1);
             }
             transform_spans += tree
@@ -426,20 +434,20 @@ fn run_smoke(args: &Args, obs: &Obs) {
             let span_avg = fit_sum / folds.len() as f64;
             let tolerance = result.train_secs * 0.05 + 1e-3;
             if (span_avg - result.train_secs).abs() > tolerance {
-                eprintln!(
+                diag(format_args!(
                     "phase accounting drift for {algo} on {dataset}: \
                      fit spans average {span_avg:.6}s, train_secs {:.6}s",
                     result.train_secs
-                );
+                ));
                 std::process::exit(1);
             }
         }
         checked_cells += 1;
     }
     if checked_cells == 0 || transform_spans == 0 {
-        eprintln!(
+        diag(format_args!(
             "smoke trace incomplete: {checked_cells} cv spans, {transform_spans} transform spans"
-        );
+        ));
         std::process::exit(1);
     }
     println!(
@@ -460,15 +468,15 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: reproduce <table2|table3|table4|table5|fig9|fig10|fig11|fig12|fig13|figures|supplementary|bio-savings|smoke|all> [--preset quick|standard|full] [--fast] [--seed N] [--out DIR] [--threads N] [--journal PATH] [--resume] [--budget-secs N] [--retries N] [--folds N] [--trace FILE] [--metrics FILE]");
+            diag(format_args!("error: {e}"));
+            diag(format_args!("usage: reproduce <table2|table3|table4|table5|fig9|fig10|fig11|fig12|fig13|figures|supplementary|bio-savings|smoke|all> [--preset quick|standard|full] [--fast] [--seed N] [--out DIR] [--threads N] [--journal PATH] [--resume] [--budget-secs N] [--retries N] [--folds N] [--trace FILE] [--metrics FILE]"));
             std::process::exit(2);
         }
     };
     let obs = args.opts.build_obs();
     etsc_obs::with_ambient(&obs, || dispatch(&args, &obs));
     if let Err(e) = args.opts.export(&obs) {
-        eprintln!("error: {e}");
+        diag(format_args!("error: {e}"));
         std::process::exit(1);
     }
     if let Some(path) = &args.opts.trace {
@@ -526,7 +534,7 @@ fn dispatch(args: &Args, obs: &Obs) {
                     );
                 }
                 Err(e) => {
-                    eprintln!("failed: {e}");
+                    diag(format_args!("failed: {e}"));
                     std::process::exit(1);
                 }
             }
@@ -551,11 +559,11 @@ fn dispatch(args: &Args, obs: &Obs) {
                     "non-interesting simulations identified before completion: {:.1}% (paper: 65%)",
                     fraction * 100.0
                 ),
-                Err(e) => eprintln!("bio-savings failed: {e}"),
+                Err(e) => diag(format_args!("bio-savings failed: {e}")),
             }
         }
         other => {
-            eprintln!("unknown target {other:?}");
+            diag(format_args!("unknown target {other:?}"));
             std::process::exit(2);
         }
     }

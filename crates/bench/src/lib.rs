@@ -3,6 +3,8 @@
 //! paper's static tables (2, 4 and 5).
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::io::Write as _;
 
 use etsc_core::registry::{all_algorithms, AlgoFamily};
 use etsc_core::EtscError;
@@ -60,6 +62,13 @@ impl ScalePreset {
             _ => None,
         }
     }
+}
+
+/// Writes one diagnostic line to stderr. Write errors are ignored: a
+/// closed stderr (a pipe whose reader has exited) must not turn a
+/// usage error into a panic and exit code 101.
+pub fn diag(line: impl Display) {
+    let _ = writeln!(std::io::stderr(), "{line}");
 }
 
 /// Everything the figure reproductions need from one sweep.

@@ -16,12 +16,9 @@ use etsc_eval::experiment::{run_cell, AlgoSpec, RunConfig};
 use etsc_eval::report::render_matrix_status;
 use etsc_eval::supervisor::SupervisorOptions;
 use etsc_eval::{CommonOpts, FaultPlan, MatrixRunner, TriggerCellResult};
-use etsc_net::{
-    Backpressure, Client, ClientConfig, Endpoint, NetError, RouterBuilder, ServerBuilder,
-};
+use etsc_net::{Client, ClientConfig, Endpoint, NetError, RouterBuilder, ServerBuilder};
 use etsc_serve::{
-    fit_model, fit_triggered_model, load_resilient, replay_dataset, DeadlineConfig, FallbackPolicy,
-    ReplayOptions, StoredModel,
+    fit_model, fit_triggered_model, load_resilient, replay_dataset, ReplayOptions, StoredModel,
 };
 use etsc_trigger::{CalibrationKind, TriggerKind, TriggerSpec};
 
@@ -81,13 +78,14 @@ commands:
                      [--sessions N] [--workers N]
                      [--obs-freq SECS] [--height-scale S]
                      [--length-scale S] [--seed N]
-                     [--deadline-ms N] [--fallback wait|prior|decide-now]
+                     [--deadline-ms N] (an evaluation slower than N ms
+                     forces the decision on the observed prefix)
                      [--faults SPEC] [--trace FILE] [--metrics FILE]
                      network mode: --model FILE --listen ADDR
-                     [--max-conns N] [--queue N] [--shed]
+                     [--max-conns N] [--queue N]
                      [--event-loops N] (0 = auto-size to the machine)
-                     [--deadline-ms N] [--fallback wait|prior|decide-now]
-                     [--faults SPEC --fault-sessions N]
+                     [--deadline-ms N] (a client's propagated deadline
+                     tightens it) [--faults SPEC --fault-sessions N]
                      [--duration-secs N] (0 = until a client requests
                      shutdown) [--trace FILE] [--metrics FILE]
                      SPEC example: seed=42,panics=1,delay-rate=0.05,
@@ -192,29 +190,39 @@ fn emit(out: &mut dyn Write, s: String) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(format!("write failed: {e}")))
 }
 
-/// Decodes `--deadline-ms` + `--fallback` into a [`DeadlineConfig`].
-/// The prior label is a placeholder; both serving paths overwrite it
-/// with the stored model's majority training class.
-fn parse_deadline(flags: &Flags) -> Result<Option<DeadlineConfig>, CliError> {
+/// Decodes `--deadline-ms` into the per-evaluation decision deadline.
+fn parse_deadline(flags: &Flags) -> Result<Option<Duration>, CliError> {
     if flags.get("deadline-ms").is_none() {
         return Ok(None);
     }
     let ms: u64 = parse(flags, "deadline-ms", 50_u64)?;
-    let policy = match flags.get("fallback").map(String::as_str) {
-        None | Some("wait") => FallbackPolicy::Wait,
-        Some("prior") => FallbackPolicy::PriorClass,
-        Some("decide-now") => FallbackPolicy::DecideNow,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "invalid --fallback {other:?} (wait | prior | decide-now)"
-            )))
-        }
-    };
-    Ok(Some(DeadlineConfig {
-        deadline: Duration::from_millis(ms),
-        policy,
-        prior_label: 0,
-    }))
+    Ok(Some(Duration::from_millis(ms)))
+}
+
+/// Refuses the flags of the removed overload modes — the fallback
+/// policies, frame shedding and admission control — instead of
+/// ignoring them as the CLI does unknown flags, naming the one rule
+/// that replaced them.
+fn refuse_removed_overload_flags(flags: &Flags) -> Result<(), CliError> {
+    if let Some(flag) = [
+        "fallback",
+        "shed",
+        "admission",
+        "admission-open-rate",
+        "codel-target-ms",
+        "brownout-high-ms",
+        "brownout-tighten-ms",
+    ]
+    .into_iter()
+    .find(|f| flags.contains_key(*f))
+    {
+        return Err(CliError::Usage(format!(
+            "--{flag} no longer exists: the one overload rule is each session's deadline, \
+             --deadline-ms N (or the client's propagated deadline); an evaluation that \
+             misses it forces the decision on the prefix observed so far"
+        )));
+    }
+    Ok(())
 }
 
 fn parse_faults(flags: &Flags) -> Result<Option<FaultPlan>, CliError> {
@@ -656,18 +664,19 @@ pub fn run(command: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliE
             )
         }
         "serve" => {
+            refuse_removed_overload_flags(flags)?;
             if let Some(addr) = flags.get("listen") {
                 return serve_listen(addr, flags, out);
             }
             // The CLI ignores unknown flags, so the queueing flags only
             // `--listen` takes are refused here instead of doing nothing.
-            if let Some(flag) = ["queue", "shed", "max-restarts"]
+            if let Some(flag) = ["queue", "max-restarts"]
                 .into_iter()
                 .find(|f| flags.contains_key(*f))
             {
                 return Err(CliError::Usage(format!(
                     "--{flag} does not apply to replay: replay is lossless and unqueued \
-                     (--queue and --shed size the outbound queue of --listen)"
+                     (--queue sizes the outbound queue of --listen)"
                 )));
             }
             let model_path = required(flags, "model")?;
@@ -868,24 +877,6 @@ pub fn run(command: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliE
 /// the server runs until a client sends a Shutdown frame; either way
 /// the stop is a graceful drain — in-flight sessions get answers.
 fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
-    // The CLI ignores unknown flags, so the removed admission flags are
-    // refused here instead of doing nothing.
-    if let Some(flag) = [
-        "admission",
-        "admission-open-rate",
-        "codel-target-ms",
-        "brownout-high-ms",
-        "brownout-tighten-ms",
-    ]
-    .into_iter()
-    .find(|f| flags.contains_key(*f))
-    {
-        return Err(CliError::Usage(format!(
-            "--{flag} no longer exists: the overload control of --listen is each session's \
-             deadline, --deadline-ms N --fallback wait|prior|decide-now (or the client's \
-             propagated deadline)"
-        )));
-    }
     let model_path = required(flags, "model")?;
     let faults = parse_faults(flags)?;
     let fault_horizon = parse(flags, "fault-sessions", 0_usize)?;
@@ -901,17 +892,11 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
     let mut builder = ServerBuilder::new()
         .max_connections(parse(flags, "max-conns", 64_usize)?)
         .max_pending_frames(parse(flags, "queue", 1024_usize)?)
-        .backpressure(if parse(flags, "shed", false)? {
-            Backpressure::Shed
-        } else {
-            Backpressure::Block
-        })
         // 0 = auto-size to the machine (clamped by the server).
         .event_loop_threads(parse(flags, "event-loops", 0_usize)?)
         .obs(obs.clone());
-    if let Some(mut d) = parse_deadline(flags)? {
-        d.prior_label = stored.meta.prior_label;
-        builder = builder.deadline(d);
+    if let Some(deadline) = parse_deadline(flags)? {
+        builder = builder.deadline(deadline);
     }
     if let Some(plan) = faults {
         builder = builder.faults(plan, fault_horizon);
@@ -947,7 +932,7 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
          connections    {} accepted, {} shed, {} closed\n\
          sessions       {} opened, {} resumed, {} decided ({} at drain), \
          {} failed, {} abandoned\n\
-         frames         {} read, {} written, {} shed\n\
+         frames         {} read, {} written\n\
          faults         {} protocol errors, {} worker panics\n\
          overload       {} observations expired\n\
          open sessions at exit: {}\n",
@@ -963,7 +948,6 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
         stats.sessions_abandoned,
         stats.frames_read,
         stats.frames_written,
-        stats.frames_shed,
         stats.proto_errors,
         stats.worker_panics,
         stats.observations_expired,
@@ -1542,8 +1526,8 @@ mod tests {
         )
         .unwrap();
 
-        // Injected panic + delays against a deadline with prior-class
-        // fallback, plus a corrupted model file recovered from .prev.
+        // Injected panic + delays against a deadline that forces
+        // decisions, plus a corrupted model file recovered from .prev.
         let out = run_to_string(
             "serve",
             &flags(&[
@@ -1554,7 +1538,6 @@ mod tests {
                 ("sessions", "20"),
                 ("workers", "2"),
                 ("deadline-ms", "1"),
-                ("fallback", "prior"),
                 (
                     "faults",
                     "seed=11,panics=1,delay-rate=0.5,delay-ms=20,corrupt-model=true",
@@ -1892,7 +1875,7 @@ mod tests {
         ));
         // Replay is lossless and unqueued: its removed queueing flags
         // are refused, not silently ignored.
-        for flag in ["queue", "shed", "max-restarts"] {
+        for flag in ["queue", "max-restarts"] {
             let err = run_to_string(
                 "serve",
                 &flags(&[("model", "m.etsc"), ("replay", "PowerCons"), (flag, "1")]),
@@ -1902,23 +1885,24 @@ mod tests {
                 "--{flag}: {err:?}"
             );
         }
-        // The admission flags are refused, naming the session deadline
-        // as the overload control.
+        // The removed overload flags are refused on both serve paths,
+        // naming the session deadline as the one overload rule.
         for flag in [
+            "fallback",
+            "shed",
             "admission",
             "admission-open-rate",
             "codel-target-ms",
             "brownout-high-ms",
             "brownout-tighten-ms",
         ] {
-            let err = run_to_string(
-                "serve",
-                &flags(&[("model", "m.etsc"), ("listen", "127.0.0.1:0"), (flag, "1")]),
-            );
-            assert!(
-                matches!(&err, Err(CliError::Usage(m)) if m.contains("--deadline-ms")),
-                "--{flag}: {err:?}"
-            );
+            for mode in [("listen", "127.0.0.1:0"), ("replay", "PowerCons")] {
+                let err = run_to_string("serve", &flags(&[("model", "m.etsc"), mode, (flag, "1")]));
+                assert!(
+                    matches!(&err, Err(CliError::Usage(m)) if m.contains("--deadline-ms")),
+                    "--{flag}: {err:?}"
+                );
+            }
         }
     }
 }

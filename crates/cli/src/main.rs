@@ -13,8 +13,8 @@
 //! etsc stream   (--dataset NAME | --data FILE --vars K) --algo NAME [--instance I] [--seed N]
 //! etsc train    (--dataset NAME | --data FILE --vars K) --algo NAME --save FILE [--seed N] [--budget-secs N]
 //! etsc serve    --model FILE (--replay NAME | --data FILE --vars K) [--sessions N] [--workers N] [--obs-freq SECS]
-//!               [--deadline-ms N] [--fallback wait|prior|decide-now] [--faults SPEC]
-//! etsc serve    --model FILE --listen ADDR [--max-conns N] [--queue N] [--shed] [--deadline-ms N] [--fallback POLICY]
+//!               [--deadline-ms N] [--faults SPEC]
+//! etsc serve    --model FILE --listen ADDR [--max-conns N] [--queue N] [--deadline-ms N]
 //!               [--faults SPEC --fault-sessions N] [--duration-secs N]
 //! etsc predict  --model FILE (--dataset NAME | --data FILE --vars K) [--instance I] [--stream]
 //! etsc predict  --connect ADDR (--dataset NAME | --data FILE --vars K) [--instance I] [--feedback]
@@ -47,7 +47,9 @@ fn main() -> ExitCode {
             diag(format_args!("error: expected a --flag, got {flag:?}"));
             return ExitCode::from(2);
         };
-        // Boolean flags take no value.
+        // Boolean flags take no value; `shed` and `admission` are
+        // removed modes, parsed as switches so the bare flag reaches
+        // its usage error.
         if etsc_eval::CommonOpts::SWITCHES.contains(&name)
             || matches!(name, "stream" | "shed" | "feedback" | "admission")
         {

@@ -26,8 +26,8 @@ fn no_arguments_exit_2_with_stderr_closed() {
 
 #[test]
 fn usage_errors_exit_2_with_stderr_closed() {
-    // A refused flag, a bare word where a flag belongs, and a flag
-    // without its value.
+    // Refused flags (the bare `--shed` switch included), a bare word
+    // where a flag belongs, and a flag without its value.
     for args in [
         &[
             "serve",
@@ -38,6 +38,16 @@ fn usage_errors_exit_2_with_stderr_closed() {
             "--codel-target-ms",
             "5",
         ][..],
+        &["serve", "--model", "M", "--listen", "127.0.0.1:0", "--shed"],
+        &[
+            "serve",
+            "--model",
+            "M",
+            "--replay",
+            "PowerCons",
+            "--fallback",
+            "prior",
+        ],
         &["list-algorithms", "oops"],
         &["evaluate", "--dataset"],
     ] {

@@ -9,17 +9,16 @@
 //! binding the journal to a run configuration (seed, folds, budget,
 //! matrix shape); every following line is one completed cell. A
 //! process killed mid-write leaves at most one torn trailing line,
-//! which is ignored on resume. There is no serde in this workspace, so
-//! both the writer and the parser are hand-rolled for this flat
-//! schema.
+//! which is ignored on resume. There is no serde in this workspace:
+//! lines are written by hand and read with [`etsc_obs::json`].
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use etsc_core::EtscError;
+use etsc_obs::json::{parse, write_escaped, JsonValue};
 
 use crate::experiment::{AlgoSpec, RunConfig, RunResult};
 use crate::metrics::Metrics;
@@ -256,11 +255,12 @@ fn cell_line(cell: &CellOutcome) -> String {
     let mut out = String::from("{\"kind\":\"cell\"");
     let _ = write!(
         out,
-        ",\"status\":\"{}\",\"algo\":\"{}\",\"dataset\":\"{}\"",
-        cell.status().label().to_ascii_lowercase(),
-        esc(cell.algo().name()),
-        esc(cell.dataset())
+        ",\"status\":\"{}\",\"algo\":",
+        cell.status().label().to_ascii_lowercase()
     );
+    write_escaped(&mut out, cell.algo().name());
+    out.push_str(",\"dataset\":");
+    write_escaped(&mut out, cell.dataset());
     match cell {
         CellOutcome::Finished(r) => {
             let _ = write!(
@@ -283,10 +283,12 @@ fn cell_line(cell: &CellOutcome) -> String {
         CellOutcome::Failed {
             error, attempts, ..
         } => {
-            let _ = write!(out, ",\"attempts\":{attempts},\"error\":\"{}\"", esc(error));
+            let _ = write!(out, ",\"attempts\":{attempts},\"error\":");
+            write_escaped(&mut out, error);
         }
         CellOutcome::Panicked { message, .. } => {
-            let _ = write!(out, ",\"message\":\"{}\"", esc(message));
+            out.push_str(",\"message\":");
+            write_escaped(&mut out, message);
         }
     }
     out.push('}');
@@ -308,76 +310,35 @@ fn num(x: f64) -> String {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
-// Parsing (flat objects only: string / number / bool / null values)
+// Parsing
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl JsonValue {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(x) => Some(*x),
-            JsonValue::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
-            _ => None,
-        }
+/// The number under `key`; `null` — how [`num`] writes a non-finite
+/// value — reads as NaN.
+fn f64_at(obj: &JsonValue, key: &str) -> Option<f64> {
+    match obj.get(key)? {
+        JsonValue::Null => Some(f64::NAN),
+        value => value.as_f64(),
     }
 }
 
 fn parse_header(line: &str) -> Option<JournalHeader> {
-    let obj = parse_object(line)?;
+    let obj = parse(line).ok()?;
     if obj.get("kind")?.as_str()? != "header" || obj.get("version")?.as_u64()? != JOURNAL_VERSION {
         return None;
     }
     Some(JournalHeader {
         seed: obj.get("seed")?.as_u64()?,
         folds: obj.get("folds")?.as_u64()? as usize,
-        budget_secs: obj.get("budget_secs")?.as_f64()?,
+        budget_secs: f64_at(&obj, "budget_secs")?,
         datasets: obj.get("datasets")?.as_u64()? as usize,
         algos: obj.get("algos")?.as_u64()? as usize,
     })
 }
 
 fn parse_cell(line: &str) -> Option<CellOutcome> {
-    let obj = parse_object(line)?;
+    let obj = parse(line).ok()?;
     if obj.get("kind")?.as_str()? != "cell" {
         return None;
     }
@@ -388,21 +349,21 @@ fn parse_cell(line: &str) -> Option<CellOutcome> {
             algo,
             dataset,
             metrics: Some(Metrics {
-                accuracy: obj.get("accuracy")?.as_f64()?,
-                f1: obj.get("f1")?.as_f64()?,
-                earliness: obj.get("earliness")?.as_f64()?,
-                harmonic_mean: obj.get("harmonic_mean")?.as_f64()?,
+                accuracy: f64_at(&obj, "accuracy")?,
+                f1: f64_at(&obj, "f1")?,
+                earliness: f64_at(&obj, "earliness")?,
+                harmonic_mean: f64_at(&obj, "harmonic_mean")?,
             }),
-            train_secs: obj.get("train_secs")?.as_f64()?,
-            test_secs_per_instance: obj.get("test_secs_per_instance")?.as_f64()?,
+            train_secs: f64_at(&obj, "train_secs")?,
+            test_secs_per_instance: f64_at(&obj, "test_secs_per_instance")?,
             dnf: false,
         })),
         "dnf" => Some(CellOutcome::Finished(RunResult {
             algo,
             dataset,
             metrics: None,
-            train_secs: obj.get("train_secs")?.as_f64()?,
-            test_secs_per_instance: obj.get("test_secs_per_instance")?.as_f64()?,
+            train_secs: f64_at(&obj, "train_secs")?,
+            test_secs_per_instance: f64_at(&obj, "test_secs_per_instance")?,
             dnf: true,
         })),
         "err" => Some(CellOutcome::Failed {
@@ -417,106 +378,6 @@ fn parse_cell(line: &str) -> Option<CellOutcome> {
             message: obj.get("message")?.as_str()?.to_owned(),
         }),
         _ => None,
-    }
-}
-
-fn parse_object(line: &str) -> Option<BTreeMap<String, JsonValue>> {
-    let mut chars = line.trim().char_indices().peekable();
-    let text = line.trim();
-    let mut out = BTreeMap::new();
-    if chars.next()?.1 != '{' {
-        return None;
-    }
-    loop {
-        match chars.peek()?.1 {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-            }
-            _ => {}
-        }
-        let key = parse_string(text, &mut chars)?;
-        if chars.next()?.1 != ':' {
-            return None;
-        }
-        let value = match chars.peek()?.1 {
-            '"' => JsonValue::Str(parse_string(text, &mut chars)?),
-            't' | 'f' | 'n' => {
-                let word: String = take_while(&mut chars, |c| c.is_ascii_alphabetic());
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    "null" => JsonValue::Null,
-                    _ => return None,
-                }
-            }
-            _ => {
-                let token: String =
-                    take_while(&mut chars, |c| !matches!(c, ',' | '}' | ' ' | '\t'));
-                JsonValue::Num(token.parse().ok()?)
-            }
-        };
-        out.insert(key, value);
-    }
-    // Anything after the closing brace means this wasn't a flat object.
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(out)
-}
-
-fn take_while(
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    keep: impl Fn(char) -> bool,
-) -> String {
-    let mut out = String::new();
-    while let Some(&(_, c)) = chars.peek() {
-        if keep(c) {
-            out.push(c);
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    out
-}
-
-fn parse_string(
-    _text: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Option<String> {
-    if chars.next()?.1 != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        let (_, c) = chars.next()?;
-        match c {
-            '"' => return Some(out),
-            '\\' => {
-                let (_, e) = chars.next()?;
-                match e {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + chars.next()?.1.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                }
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -29,6 +29,7 @@
 //! `fold`/`fit`/`predict` spans.
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -254,7 +255,9 @@ impl MatrixRunner {
             (Some(path), true) if path.exists() => {
                 let (journal, recorded, warnings) = Journal::open_resume(path, &header)?;
                 for warning in warnings {
-                    eprintln!("warning: {warning}");
+                    // Ignored on error: a closed stderr must not panic
+                    // the run.
+                    let _ = writeln!(std::io::stderr(), "warning: {warning}");
                 }
                 let mut by_key: HashMap<(String, AlgoSpec), CellOutcome> = recorded
                     .into_iter()

@@ -138,7 +138,7 @@ pub struct Decision {
     pub label: usize,
     /// Prefix length the server committed at.
     pub prefix_len: usize,
-    /// Genuine trigger or degraded fallback.
+    /// Genuine trigger, or a decision forced by a deadline or a drain.
     pub kind: DecisionKind,
     /// End-to-end latency: decision arrival minus the send time of the
     /// observation that triggered it.

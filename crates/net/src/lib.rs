@@ -20,9 +20,10 @@
 //!   event-loop threads, each owning a [`poll::Poller`] over its share
 //!   of nonblocking connections (dealt round-robin at accept), reads
 //!   drained to `EWOULDBLOCK`, vectored writes from pooled buffers,
-//!   bridging into an [`etsc_serve::SessionTable`] (deadlines, fallback
-//!   policies, panic containment) with Block/Shed backpressure on the
-//!   outbound queue, static connection and session caps that refuse
+//!   bridging into an [`etsc_serve::SessionTable`] (deadlines that force
+//!   a decision on the observed prefix, panic containment) with
+//!   lossless backpressure on the outbound queue (a full queue pauses
+//!   the connection's reads), static connection and session caps that refuse
 //!   at the edge, expired-deadline discard of queued dead work, seeded
 //!   server-side fault injection, `etsc-obs` instrumentation, and
 //!   graceful drain — in-flight sessions answered, new connections
@@ -80,4 +81,4 @@ pub use proto::{
     PROTO_VERSION,
 };
 pub use router::{Router, RouterConfig, RouterStats, ShardSnapshot};
-pub use server::{Backpressure, NetServer, ServerConfig, ServerStats};
+pub use server::{NetServer, ServerConfig, ServerStats};

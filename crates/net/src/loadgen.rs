@@ -87,7 +87,7 @@ pub struct LoadReport {
     pub decided: usize,
     /// Decided sessions whose verdict was the algorithm's own trigger.
     pub genuine: usize,
-    /// Decided sessions answered by a degraded fallback.
+    /// Decided sessions answered by a forced (non-genuine) decision.
     pub degraded: usize,
     /// Sessions the server failed (evaluation error, worker panic, or
     /// an overload refusal — the `shed`/`expired` sub-counts below).

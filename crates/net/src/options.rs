@@ -35,13 +35,13 @@ use etsc_adapt::FeedbackSink;
 use etsc_data::Dataset;
 use etsc_eval::faults::FaultPlan;
 use etsc_obs::Obs;
-use etsc_serve::{DeadlineConfig, StoredModel};
+use etsc_serve::StoredModel;
 
 use crate::client::{Client, ClientConfig, NetError};
 use crate::fleet::{run_fleet, FleetOptions, FleetReport};
 use crate::proto::{MAX_FRAME_BYTES, PROTO_MINOR};
 use crate::router::{Router, RouterConfig};
-use crate::server::{Backpressure, NetServer, ServerConfig};
+use crate::server::{NetServer, ServerConfig};
 
 /// A config combination the builders refuse to produce. Carries the
 /// knob that failed and why, so the fix is one grep away.
@@ -216,16 +216,9 @@ impl ServerBuilder {
         self
     }
 
-    /// See [`ServerConfig::backpressure`].
-    #[must_use]
-    pub fn backpressure(mut self, mode: Backpressure) -> Self {
-        self.extras.backpressure = mode;
-        self
-    }
-
     /// See [`ServerConfig::deadline`].
     #[must_use]
-    pub fn deadline(mut self, deadline: DeadlineConfig) -> Self {
+    pub fn deadline(mut self, deadline: Duration) -> Self {
         self.extras.deadline = Some(deadline);
         self
     }

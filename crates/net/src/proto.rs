@@ -74,7 +74,7 @@ pub const HEADER_BYTES: usize = 12;
 pub const MAX_FRAME_BYTES: usize = 256 * 1024;
 
 /// Default ceiling on encoded frames queued for write on one
-/// connection before backpressure (block or shed) kicks in.
+/// connection before backpressure pauses its reads.
 pub const MAX_PENDING_FRAMES: usize = 1024;
 
 const TAG_HELLO: u8 = 1;
@@ -161,8 +161,11 @@ impl ModelInfo {
     }
 }
 
-/// Why a [`Frame::Decision`] verdict is (or is not) degraded — the
-/// wire image of `Option<etsc_serve::FallbackKind>`.
+/// Why a [`Frame::Decision`] verdict is (or is not) degraded: the
+/// algorithm's own trigger, or a decision forced on the observed prefix
+/// by a deadline breach or by the graceful drain. Servers send
+/// `DeadlinePrior` no more — a breach always forces an evaluation — but
+/// it stays decodable for older peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionKind {
     /// The algorithm's own trigger fired.

@@ -796,7 +796,13 @@ fn accept_loop(
                             active2.fetch_sub(1, Ordering::SeqCst);
                         }) {
                         Ok(handle) => {
-                            conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                            let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+                            // Drop the handles of finished threads (which
+                            // frees their stacks), so the router keeps one
+                            // per live connection, not one per connection
+                            // it ever accepted.
+                            conns.retain(|h| !h.is_finished());
+                            conns.push(handle);
                         }
                         Err(_) => {
                             // Thread exhaustion: the closure (and the socket
@@ -2061,6 +2067,30 @@ mod tests {
             !shard.record_success(&config),
             "steady health is not a recovery"
         );
+    }
+
+    #[test]
+    fn finished_connection_threads_are_not_retained() {
+        let router = Router::bind(
+            "127.0.0.1:0",
+            &["127.0.0.1:1".to_string()],
+            RouterConfig::default(),
+        )
+        .unwrap();
+        for i in 1..=50 {
+            drop(TcpStream::connect(router.local_addr()).unwrap());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while router.stats().connections_closed < i {
+                assert!(Instant::now() < deadline, "connection {i} never closed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let retained = router.conns.lock().unwrap().len();
+        assert!(
+            retained <= 3,
+            "{retained} handles kept after 50 closed connections"
+        );
+        router.join();
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! loops through per-loop inboxes plus a poller wake. Every socket is
 //! nonblocking: reads pump the frame decoder until `WouldBlock`,
 //! writes drain a per-connection outbound queue with vectored writes,
-//! arming `EPOLLOUT` only while bytes are pending. A full queue applies
-//! the configured [`Backpressure`]: `Block` pauses the connection's
-//! *reads* until the queue drains below its cap (lossless, bounded by
-//! what was already read), `Shed` drops the frame and counts it.
-//! Each connection keeps its sessions in an
-//! [`etsc_serve::SessionTable`], the table replay evaluates through
-//! too: deadlines and fallback policies, seeded panic/delay injection
-//! and panic containment are the table's. The server adds the network
+//! arming `EPOLLOUT` only while bytes are pending. A full queue pauses
+//! the connection's *reads* until it drains below its cap (lossless,
+//! bounded by what was already read). Each connection keeps its
+//! sessions in an [`etsc_serve::SessionTable`], the table replay
+//! evaluates through too: deadlines (a missed one forces the session's
+//! decision on its observed prefix), seeded panic/delay injection and
+//! panic containment are the table's. The server adds the network
 //! concerns: connection caps with accept-time shedding, a slow-loris
 //! idle guard, propagated-deadline expiry, rev-2
 //! `ObserveBatch`/`DecisionBatch` pipelining for peers that negotiated
@@ -34,8 +33,8 @@ use etsc_adapt::{FeedbackEvent, FeedbackSink};
 use etsc_core::{EarlyPrediction, EtscError};
 use etsc_eval::experiment::RunConfig;
 use etsc_eval::faults::{FaultPlan, FaultSchedule};
-use etsc_obs::{HistogramHandle, Obs};
-use etsc_serve::{DeadlineConfig, FallbackKind, FallbackPolicy, SessionTable, Step, StoredModel};
+use etsc_obs::{Counter, HistogramHandle, MetricsRegistry, Obs};
+use etsc_serve::{SessionTable, Step, StoredModel};
 
 use crate::poll::{Event, Poller, WAKE_TOKEN};
 use crate::proto::{
@@ -51,16 +50,6 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 /// under any sane `max_frame_bytes` while still coalescing writes.
 const MAX_DECISIONS_PER_BATCH: usize = 512;
 
-/// What a connection's full outbound queue does to the next frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Enqueue it anyway and pause the connection's reads until the
-    /// queue drains below its cap: lossless.
-    Block,
-    /// Drop the frame and count it.
-    Shed,
-}
-
 /// Tuning knobs for [`NetServer`]. Prefer building this through
 /// [`crate::ServerBuilder`], which validates the combination.
 #[derive(Clone)]
@@ -71,13 +60,14 @@ pub struct ServerConfig {
     pub max_sessions_per_conn: usize,
     /// Per-frame payload ceiling (both directions).
     pub max_frame_bytes: usize,
-    /// Outbound frames queued per connection before backpressure.
+    /// Outbound frames queued per connection before its reads pause
+    /// until the queue drains (lossless backpressure).
     pub max_pending_frames: usize,
-    /// What a full outbound queue does to the connection: pause its
-    /// reads (lossless) or shed the frame.
-    pub backpressure: Backpressure,
-    /// Per-evaluation decision deadline applied to every session.
-    pub deadline: Option<DeadlineConfig>,
+    /// Per-evaluation decision deadline applied to every session; a
+    /// client's propagated `deadline_ms` tightens it. An evaluation
+    /// that misses it forces the session's decision on the observed
+    /// prefix.
+    pub deadline: Option<Duration>,
     /// Event-loop threads sharing the connections (0 = one per
     /// available core, capped at 4).
     pub event_loop_threads: usize,
@@ -107,7 +97,6 @@ impl Default for ServerConfig {
             max_sessions_per_conn: 1024,
             max_frame_bytes: MAX_FRAME_BYTES,
             max_pending_frames: MAX_PENDING_FRAMES,
-            backpressure: Backpressure::Block,
             deadline: None,
             event_loop_threads: 0,
             protocol_minor: PROTO_MINOR,
@@ -160,8 +149,6 @@ pub struct ServerStats {
     pub frames_read: u64,
     /// Frames written to the wire.
     pub frames_written: u64,
-    /// Outbound frames dropped by `Shed` backpressure.
-    pub frames_shed: u64,
     /// Connections killed by a wire-protocol violation.
     pub proto_errors: u64,
     /// Injected (or genuine) evaluation panics caught and contained.
@@ -204,7 +191,6 @@ struct StatsCells {
     drain_decisions: AtomicU64,
     frames_read: AtomicU64,
     frames_written: AtomicU64,
-    frames_shed: AtomicU64,
     proto_errors: AtomicU64,
     worker_panics: AtomicU64,
     sessions_handoff: AtomicU64,
@@ -229,7 +215,6 @@ impl StatsCells {
             drain_decisions: get(&self.drain_decisions),
             frames_read: get(&self.frames_read),
             frames_written: get(&self.frames_written),
-            frames_shed: get(&self.frames_shed),
             proto_errors: get(&self.proto_errors),
             worker_panics: get(&self.worker_panics),
             sessions_handoff: get(&self.sessions_handoff),
@@ -553,22 +538,35 @@ struct EventLoop {
     conns: HashMap<u64, Conn>,
 }
 
-/// Per-loop latency instruments, built once per thread.
+/// Per-loop instruments, built once per thread.
 struct Hists {
     observe: HistogramHandle,
     open: HistogramHandle,
     sojourn: HistogramHandle,
     write: HistogramHandle,
+    /// `net_frames_read_<kind>_total`, resolved on a kind's first frame
+    /// so later frames neither format its name nor lock the registry.
+    frames_read: HashMap<&'static str, Counter>,
+}
+
+impl Hists {
+    fn frame_read(&mut self, metrics: &MetricsRegistry, kind: &'static str) {
+        self.frames_read
+            .entry(kind)
+            .or_insert_with(|| metrics.counter(&format!("net_frames_read_{kind}_total")))
+            .inc();
+    }
 }
 
 impl EventLoop {
     fn run(&mut self) {
         let metrics = &self.shared.config.obs.metrics;
-        let hists = Hists {
+        let mut hists = Hists {
             observe: metrics.histogram("net_handle_observe_seconds"),
             open: metrics.histogram("net_handle_open_seconds"),
             sojourn: metrics.histogram("net_frame_sojourn_seconds"),
             write: metrics.histogram("net_frame_write_seconds"),
+            frames_read: HashMap::new(),
         };
         if let Some(listener) = &self.listener {
             if self
@@ -602,7 +600,7 @@ impl EventLoop {
                 match ev.token {
                     WAKE_TOKEN => {} // inbox/flags re-checked at loop top
                     LISTENER_TOKEN => self.accept_burst(),
-                    token => self.service_conn(token, ev, &hists),
+                    token => self.service_conn(token, ev, &mut hists),
                 }
             }
             self.idle_scan();
@@ -727,7 +725,7 @@ impl EventLoop {
             pending_drain: false,
             closing: None,
             pending_decisions: Vec::new(),
-            table: SessionTable::new(gen.model.classifier(), gen.batch),
+            table: SessionTable::new(gen.model.classifier(), gen.batch, gen.info.prior_label),
             finished: HashSet::new(),
             decided: HashMap::new(),
             decided_order: VecDeque::new(),
@@ -740,7 +738,7 @@ impl EventLoop {
 
     /// One connection's readiness: flush first (freeing queue space
     /// can resume paused reads), then pump the decoder.
-    fn service_conn(&mut self, token: u64, ev: Event, hists: &Hists) {
+    fn service_conn(&mut self, token: u64, ev: Event, hists: &mut Hists) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -976,7 +974,7 @@ impl CloseReason {
 impl Conn {
     /// Reads until the socket runs dry (or a close condition), decoding
     /// and handling frames after every chunk.
-    fn pump(&mut self, hists: &Hists) {
+    fn pump(&mut self, hists: &mut Hists) {
         loop {
             if self.closing.is_some() || self.pending_drain || self.out.dead {
                 return;
@@ -1014,7 +1012,7 @@ impl Conn {
     }
 
     /// Drains every complete frame currently buffered in the decoder.
-    fn process_frames(&mut self, hists: &Hists) {
+    fn process_frames(&mut self, hists: &mut Hists) {
         let shared = Arc::clone(&self.shared);
         let obs = &shared.config.obs;
         loop {
@@ -1033,9 +1031,7 @@ impl Conn {
                 Ok(Some(frame)) => {
                     self.last_activity = Instant::now();
                     shared.count(|s| &s.frames_read, "net_frames_read_total");
-                    obs.metrics
-                        .counter(&format!("net_frames_read_{}_total", frame.kind_name()))
-                        .inc();
+                    hists.frame_read(&obs.metrics, frame.kind_name());
                     let started = Instant::now();
                     match self.handle(frame) {
                         Handled::Ok => {}
@@ -1279,26 +1275,14 @@ impl Conn {
 
     /// The per-decision deadline a new session is armed with: the
     /// tighter of the configured deadline and the client's propagated
-    /// `deadline_ms`. A client-imposed deadline decides-now on breach
-    /// when the server configured none — a best-effort answer on the
-    /// observed prefix beats a late one.
-    fn effective_deadline(&self, deadline_ms: u64) -> Option<DeadlineConfig> {
+    /// `deadline_ms` (0 = none propagated).
+    fn effective_deadline(&self, deadline_ms: u64) -> Option<Duration> {
         let configured = self.shared.config.deadline;
         if deadline_ms == 0 {
             return configured;
         }
         let budget = Duration::from_millis(deadline_ms);
-        Some(match configured {
-            Some(cfg) => DeadlineConfig {
-                deadline: cfg.deadline.min(budget),
-                ..cfg
-            },
-            None => DeadlineConfig {
-                deadline: budget,
-                policy: FallbackPolicy::DecideNow,
-                prior_label: self.gen.info.prior_label,
-            },
-        })
+        Some(configured.map_or(budget, |d| d.min(budget)))
     }
 
     fn observe(&mut self, id: u64, step: u64, row: &[f64], deadline_ms: u64) {
@@ -1349,8 +1333,8 @@ impl Conn {
     fn settle(&mut self, id: u64, step: Option<Step>, drain: bool) {
         match step {
             None | Some(Step::Pending) => {}
-            Some(Step::Decided(prediction, fallback)) => {
-                self.finish_decided(id, prediction, fallback, drain);
+            Some(Step::Decided(prediction, forced)) => {
+                self.finish_decided(id, prediction, forced, drain);
             }
             Some(Step::Failed(e)) => {
                 let code = match &e {
@@ -1388,18 +1372,12 @@ impl Conn {
             .map_or_else(String::new, |seq| seq.to_string())
     }
 
-    fn finish_decided(
-        &mut self,
-        id: u64,
-        prediction: EarlyPrediction,
-        fallback: Option<FallbackKind>,
-        drain: bool,
-    ) {
+    fn finish_decided(&mut self, id: u64, prediction: EarlyPrediction, forced: bool, drain: bool) {
         let shared = Arc::clone(&self.shared);
         let removed = self.table.remove(id);
         self.finished.insert(id);
-        let kind = decision_kind(fallback);
         let (label, prefix_len) = (prediction.label as u64, prediction.prefix_len as u64);
+        let kind = decision_kind(forced, drain, prefix_len);
         // Remember the verdict so late ground truth can be graded; the
         // observed series rides along only when a sink will refit on it.
         let rows = match (&shared.config.feedback, removed) {
@@ -1538,12 +1516,11 @@ impl Conn {
     }
 
     /// Answers every in-flight session with a forced drain verdict,
-    /// then announces the shutdown. Drain writes always enqueue — a
-    /// drain that sheds its own answers would defeat its purpose — and
-    /// the close path flushes them with a blocking, bounded write.
+    /// then announces the shutdown. The close path flushes the queue
+    /// with a blocking, bounded write.
     fn drain(&mut self) {
         for id in self.table.ids() {
-            let step = self.table.force(id, self.gen.info.prior_label);
+            let step = self.table.force(id);
             self.settle(id, step, true);
         }
         self.flush_decisions();
@@ -1551,11 +1528,12 @@ impl Conn {
         // routers that see this code know the close is a planned drain
         // (no reconnect, no circuit-breaker penalty), unlike a crash
         // where the socket just dies.
-        self.send_with(
-            Frame::error(ErrorCode::Shutdown, None, "graceful drain complete"),
-            Backpressure::Block,
-        );
-        self.send_with(Frame::Shutdown, Backpressure::Block);
+        self.send(Frame::error(
+            ErrorCode::Shutdown,
+            None,
+            "graceful drain complete",
+        ));
+        self.send(Frame::Shutdown);
     }
 
     /// Abandons whatever is still open (disconnect, protocol error,
@@ -1570,27 +1548,14 @@ impl Conn {
         n
     }
 
+    /// Enqueues `frame`, past the cap too — losslessly bounded, because
+    /// a full queue also pauses this connection's reads.
     fn send(&mut self, frame: Frame) {
-        self.send_with(frame, self.shared.config.backpressure);
-    }
-
-    fn send_with(&mut self, frame: Frame, policy: Backpressure) {
         if self.out.dead {
             return;
         }
-        let shared = Arc::clone(&self.shared);
-        if self.out.over_cap() {
-            match policy {
-                Backpressure::Shed => {
-                    shared.count(|s| &s.frames_shed, "net_frames_shed_total");
-                    return;
-                }
-                // Enqueues past the cap — losslessly bounded, because a
-                // full queue also pauses this connection's reads.
-                Backpressure::Block => {}
-            }
-        }
-        if let Ok(wire) = self.out.pool.encode(&frame, shared.config.max_frame_bytes) {
+        let max_frame_bytes = self.shared.config.max_frame_bytes;
+        if let Ok(wire) = self.out.pool.encode(&frame, max_frame_bytes) {
             self.out.queue.push_back(wire);
         }
     }
@@ -1701,12 +1666,14 @@ enum Handled {
     Fatal(CloseReason),
 }
 
-fn decision_kind(fallback: Option<FallbackKind>) -> DecisionKind {
-    match fallback {
-        None => DecisionKind::Genuine,
-        Some(FallbackKind::DeadlinePrior) => DecisionKind::DeadlinePrior,
-        Some(FallbackKind::DeadlineForced) => DecisionKind::DeadlineForced,
-        Some(FallbackKind::DrainPrior) => DecisionKind::DrainPrior,
-        Some(FallbackKind::DrainForced) => DecisionKind::DrainForced,
+/// The wire kind of a decision: the algorithm's own trigger, or a
+/// decision forced by a deadline breach or by the drain — `drain-prior`
+/// when the drained session had observed nothing.
+fn decision_kind(forced: bool, drain: bool, prefix_len: u64) -> DecisionKind {
+    match (forced, drain) {
+        (false, _) => DecisionKind::Genuine,
+        (true, false) => DecisionKind::DeadlineForced,
+        (true, true) if prefix_len == 0 => DecisionKind::DrainPrior,
+        (true, true) => DecisionKind::DrainForced,
     }
 }

@@ -7,7 +7,8 @@
 //! overload run then keeps several sessions in flight per connection —
 //! a multiple of the service depth the handler actually has. Lossless
 //! backpressure must queue the excess without losing a session or
-//! letting goodput fall; the remaining overload rules — propagated
+//! letting goodput fall; the remaining overload rules — session
+//! deadlines that force a decision on the observed prefix, propagated
 //! deadlines that discard dead work, and retryable static-cap refusals
 //! that client budgets absorb — have a test each.
 
@@ -17,7 +18,9 @@ use std::time::Duration;
 use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
 use etsc_eval::faults::FaultPlan;
-use etsc_net::{run_loadgen, ClientConfig, LoadgenOptions, NetServer, ServerConfig};
+use etsc_net::{
+    run_loadgen, Client, ClientConfig, DecisionKind, LoadgenOptions, NetServer, ServerConfig,
+};
 use etsc_obs::Obs;
 use etsc_serve::{fit_model, StoredModel};
 
@@ -159,6 +162,49 @@ fn overload_5x_loses_nothing_and_keeps_goodput() {
     // The queueing telemetry is exported through etsc-obs.
     let prom = obs.metrics.render_prometheus();
     assert!(prom.contains("net_frame_sojourn_seconds"), "{prom}");
+}
+
+#[test]
+fn propagated_deadline_forces_a_decision_under_a_looser_server_deadline() {
+    // The server arms a 1s deadline and the client propagates 5ms at
+    // open: the tighter one governs. The seeded 30ms evaluation at step
+    // 1 breaches it, so the session is answered at once with a decision
+    // forced on the one row observed, whatever rows follow.
+    let data = synthetic();
+    let model = model(&data);
+    let server = NetServer::bind(
+        Arc::clone(&model),
+        "127.0.0.1:0",
+        ServerConfig {
+            deadline: Some(Duration::from_secs(1)),
+            faults: Some(delay_plan(30)),
+            fault_horizon: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let config = ClientConfig {
+        deadline_ms: 5,
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect(&addr, config).unwrap();
+    let inst = data.instance(0);
+    let id = client.open_session(inst.len()).unwrap();
+    for t in 0..inst.len() {
+        let row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, t)).collect();
+        client.observe(id, &row).unwrap();
+    }
+    let d = client.wait_decision(id, Duration::from_secs(20)).unwrap();
+    assert_eq!(
+        (d.kind, d.prefix_len),
+        (DecisionKind::DeadlineForced, 1),
+        "{d:?}"
+    );
+    drop(client);
+    let stats = server.join();
+    assert_eq!(stats.sessions_decided, 1, "{stats:?}");
+    assert_eq!(stats.open_sessions(), 0, "session leak: {stats:?}");
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! Minimal hand-rolled JSON, just enough for the trace exporter.
+//! Minimal hand-rolled JSON for the workspace's JSONL files: the trace
+//! exporter's and the evaluation journal's (`etsc_eval::journal`).
 //!
-//! The workspace deliberately has no serde (no registry access), so the
-//! trace JSONL round-trip uses the same idiom as `etsc_eval::journal`:
-//! a tiny escaping writer and a recursive-descent parser covering the
-//! subset this crate emits — objects, arrays, strings, finite numbers,
-//! booleans and `null`.
+//! The workspace deliberately has no serde (no registry access), so
+//! both round-trip through a tiny escaping writer and a
+//! recursive-descent parser covering the subset they emit — objects,
+//! arrays, strings, finite numbers, booleans and `null`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -25,8 +25,10 @@
 //!   (`decision_latency / obs_interval`) next to the offline verdict of
 //!   [`etsc_eval::online`].
 //!
-//! Robustness is first-class: sessions can carry decision deadlines
-//! that degrade to a configurable fallback verdict, the model store is
+//! Robustness is first-class: sessions can carry a decision deadline,
+//! and an evaluation that misses it forces the session's decision on
+//! the prefix observed so far (the training prior answers only when
+//! nothing was observed); the model store is
 //! crash-consistent (per-section CRC64, `.prev` last-good fallback,
 //! quarantine on corruption), and a seeded [`etsc_eval::FaultPlan`] can
 //! inject worker panics, decision latency, and poisoned stream points
@@ -38,7 +40,7 @@ pub mod store;
 pub mod table;
 
 pub use replay::{replay_dataset, ReplayOptions, ReplayOutcome, ServeReport, SessionOutcome};
-pub use session::{DeadlineConfig, FallbackKind, FallbackPolicy, StreamSession};
+pub use session::StreamSession;
 pub use store::{
     fit_model, fit_triggered_model, load_resilient, replicate, LoadOutcome, ModelMeta, SavedModel,
     ServeError, StoredModel, TriggerDesc,

@@ -21,7 +21,7 @@
 //! the sessions (`s % workers == w`), and each feeds its own table
 //! time-major straight from the dataset.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use etsc_core::{panic_message, EarlyClassifier, EarlyPrediction, EtscError};
 use etsc_data::{Dataset, MultiSeries};
@@ -30,7 +30,7 @@ use etsc_eval::online::feasible_ratio;
 use etsc_eval::{FaultPlan, FaultSchedule};
 use etsc_obs::{Counter, Histogram as LatencyHistogram, Obs};
 
-use crate::session::{DeadlineConfig, FallbackKind, StreamSession};
+use crate::session::StreamSession;
 use crate::store::StoredModel;
 use crate::table::{SessionTable, Step};
 
@@ -47,9 +47,10 @@ pub struct ReplayOptions {
     /// Threads sharing the sessions (≥ 1); session `s` lives on thread
     /// `s % workers`.
     pub workers: usize,
-    /// Per-evaluation decision deadline; `None` serves without one. Its
-    /// `prior_label` is replaced by the stored model's training prior.
-    pub deadline: Option<DeadlineConfig>,
+    /// Per-evaluation decision deadline; `None` serves without one. An
+    /// evaluation that misses it forces the session's decision on the
+    /// observed prefix.
+    pub deadline: Option<Duration>,
     /// Deterministic fault injection for chaos testing; `None` in
     /// production.
     pub faults: Option<FaultPlan>,
@@ -78,13 +79,9 @@ impl Default for ReplayOptions {
 pub enum SessionOutcome {
     /// The model committed a genuine early decision.
     Decided(EarlyPrediction),
-    /// A deadline breach degraded the session to a fallback verdict.
-    Fallback {
-        /// The committed fallback prediction.
-        prediction: EarlyPrediction,
-        /// Which degraded path produced it.
-        kind: FallbackKind,
-    },
+    /// A deadline breach forced the session's decision on the observed
+    /// prefix.
+    Fallback(EarlyPrediction),
     /// The session died (model error, or its evaluation panicked).
     Failed(String),
     /// The stream ended with no decision and no error.
@@ -95,7 +92,7 @@ impl SessionOutcome {
     /// The committed prediction, genuine or fallback.
     pub fn prediction(&self) -> Option<EarlyPrediction> {
         match self {
-            SessionOutcome::Decided(p) | SessionOutcome::Fallback { prediction: p, .. } => Some(*p),
+            SessionOutcome::Decided(p) | SessionOutcome::Fallback(p) => Some(*p),
             SessionOutcome::Failed(_) | SessionOutcome::Starved => None,
         }
     }
@@ -293,12 +290,8 @@ pub fn replay_dataset(
         instances,
         batch: options.batch,
         workers,
-        // The prior-class fallback verdict comes from the stored
-        // model's training distribution, not from the caller.
-        deadline: options.deadline.map(|d| DeadlineConfig {
-            prior_label: stored.meta.prior_label,
-            ..d
-        }),
+        prior_label: stored.meta.prior_label,
+        deadline: options.deadline,
         schedule: options.faults.as_ref().map(|plan| plan.schedule(&lens)),
         obs,
         serve_id: serve_span.id(),
@@ -350,7 +343,7 @@ pub fn replay_dataset(
         first_error: failures.next().cloned(),
         fallbacks: outcomes
             .iter()
-            .filter(|o| matches!(o, SessionOutcome::Fallback { .. }))
+            .filter(|o| matches!(o, SessionOutcome::Fallback(_)))
             .count(),
         decisions,
         outcomes,
@@ -403,14 +396,16 @@ pub fn replay_dataset(
     })
 }
 
-/// What every replay thread shares: the model, the dataset, the armed
-/// deadline and fault schedule, and the resolved instruments.
+/// What every replay thread shares: the model and its training prior,
+/// the dataset, the armed deadline and fault schedule, and the resolved
+/// instruments.
 struct Feed<'a> {
     model: &'a (dyn EarlyClassifier + Sync),
+    prior_label: usize,
     instances: &'a [MultiSeries],
     batch: usize,
     workers: usize,
-    deadline: Option<DeadlineConfig>,
+    deadline: Option<Duration>,
     schedule: Option<FaultSchedule>,
     obs: &'a Obs,
     serve_id: Option<u64>,
@@ -443,7 +438,7 @@ impl Feed<'_> {
     /// fed time-major.
     fn serve(&self, w: usize) -> Partition {
         let mut part = Partition::default();
-        let mut table = SessionTable::new(self.model, self.batch);
+        let mut table = SessionTable::new(self.model, self.batch, self.prior_label);
         let mine: Vec<usize> = (w..self.instances.len()).step_by(self.workers).collect();
         for &s in &mine {
             let inst = &self.instances[s];
@@ -481,14 +476,11 @@ impl Feed<'_> {
                 }
                 let outcome = match step {
                     Step::Pending => continue,
-                    Step::Decided(prediction, None) => SessionOutcome::Decided(prediction),
-                    Step::Decided(prediction, Some(kind)) => {
+                    Step::Decided(prediction, false) => SessionOutcome::Decided(prediction),
+                    Step::Decided(prediction, true) => {
                         self.fallbacks.inc();
-                        self.event(
-                            "session.fallback",
-                            &[("session", &s.to_string()), ("kind", &format!("{kind:?}"))],
-                        );
-                        SessionOutcome::Fallback { prediction, kind }
+                        self.event("session.fallback", &[("session", &s.to_string())]);
+                        SessionOutcome::Fallback(prediction)
                     }
                     Step::Failed(e) => SessionOutcome::Failed(e.to_string()),
                     Step::Panicked(message) => {
@@ -524,11 +516,9 @@ impl Feed<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::FallbackPolicy;
     use crate::store::fit_model;
     use etsc_datasets::{GenOptions, PaperDataset};
     use etsc_eval::experiment::RunConfig;
-    use std::time::Duration;
 
     fn stored() -> (StoredModel, Dataset) {
         let data = PaperDataset::PowerCons.generate(GenOptions {
@@ -610,18 +600,13 @@ mod tests {
         let (model, data) = stored();
         let obs = Obs::enabled();
         // One injected panic, and a 20ms delay on half the sessions
-        // against a 5ms deadline; the caller's prior label is replaced
-        // by the stored one.
+        // against a 5ms deadline.
         let report = replay(
             &model,
             &data,
             ReplayOptions {
                 workers: 2,
-                deadline: Some(DeadlineConfig {
-                    deadline: Duration::from_millis(5),
-                    policy: FallbackPolicy::PriorClass,
-                    prior_label: usize::MAX,
-                }),
+                deadline: Some(Duration::from_millis(5)),
                 faults: Some(
                     FaultPlan::parse("seed=7,panics=1,delay-rate=0.5,delay-ms=20").unwrap(),
                 ),
@@ -636,10 +621,24 @@ mod tests {
         for (s, outcome) in report.outcomes.iter().enumerate() {
             match outcome {
                 SessionOutcome::Failed(_) => assert!(schedule.touches(s), "session {s}"),
-                SessionOutcome::Fallback { prediction, kind } => {
-                    assert!(schedule.touches(s), "session {s}");
-                    assert_eq!(*kind, FallbackKind::DeadlinePrior);
-                    assert_eq!(prediction.label, model.meta.prior_label);
+                SessionOutcome::Fallback(prediction) => {
+                    // Forced at the delayed step, on the prefix observed
+                    // by then: a fresh stream's `decide(false)` on that
+                    // prefix, or else its `decide(true)`.
+                    let inst = data.instance(s);
+                    let breach =
+                        (1..=inst.len()).find(|&step| schedule.delay_at(s, step).is_some());
+                    assert_eq!(Some(prediction.prefix_len), breach, "session {s}");
+                    let mut stream = model.classifier().start_stream().unwrap();
+                    for t in 0..prediction.prefix_len {
+                        let row: Vec<f64> = (0..inst.vars()).map(|v| inst.at(v, t)).collect();
+                        stream.push(&row).unwrap();
+                    }
+                    let forced = match stream.decide(false).unwrap() {
+                        Some(label) => Some(label),
+                        None => stream.decide(true).unwrap(),
+                    };
+                    assert_eq!(Some(prediction.label), forced, "session {s}");
                 }
                 // Siblings the schedule left alone match the offline run.
                 other if !schedule.touches(s) => {

@@ -14,56 +14,6 @@ use std::time::{Duration, Instant};
 use etsc_core::{EarlyClassifier, EarlyPrediction, EtscError, StreamState};
 use etsc_obs::Histogram as LatencyHistogram;
 
-/// What a session does when a re-evaluation misses its deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Count the breach but keep waiting for the algorithm's own
-    /// trigger — latency-tolerant consumers accept a late result.
-    Wait,
-    /// Commit the training prior class immediately: the cheapest
-    /// always-available baseline verdict. A genuine label the breaching
-    /// evaluation produces late is discarded — the consumer was already
-    /// answered when the budget expired.
-    PriorClass,
-    /// Force the algorithm to decide on the data seen so far (its
-    /// current best — the "last confident prediction" it would commit
-    /// if the stream ended now); falls back to the prior class when
-    /// even a forced evaluation yields nothing.
-    DecideNow,
-}
-
-/// Per-evaluation decision deadline and the degraded-mode behaviour
-/// applied on a breach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineConfig {
-    /// Budget for one re-evaluation.
-    pub deadline: Duration,
-    /// What to do when the budget is exceeded.
-    pub policy: FallbackPolicy,
-    /// Dense label committed by [`FallbackPolicy::PriorClass`] (and by
-    /// [`FallbackPolicy::DecideNow`] when the forced evaluation stays
-    /// undecided). [`crate::replay_dataset`] fills this with the stored
-    /// model's training prior.
-    pub prior_label: usize,
-}
-
-/// Why a committed decision was a degraded-mode fallback rather than
-/// the algorithm's own trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackKind {
-    /// Deadline breach answered with the training prior class.
-    DeadlinePrior,
-    /// Deadline breach answered by forcing the algorithm to decide on
-    /// the observed prefix.
-    DeadlineForced,
-    /// Graceful drain answered with the training prior class because
-    /// the forced evaluation yielded nothing (or nothing was observed).
-    DrainPrior,
-    /// Graceful drain answered by forcing the algorithm to decide on
-    /// the observed prefix.
-    DrainForced,
-}
-
 /// Streaming state for one time series being classified early.
 pub struct StreamSession<'m> {
     stream: Box<dyn StreamState + 'm>,
@@ -76,8 +26,10 @@ pub struct StreamSession<'m> {
     decided: Option<EarlyPrediction>,
     evals: usize,
     latency: LatencyHistogram,
-    deadline: Option<DeadlineConfig>,
-    fallback: Option<FallbackKind>,
+    deadline: Option<Duration>,
+    /// Answers a deadline-forced decision whose evaluation abstained.
+    prior_label: usize,
+    forced: bool,
     deadline_breaches: usize,
     truth: Option<usize>,
 }
@@ -108,22 +60,28 @@ impl<'m> StreamSession<'m> {
             evals: 0,
             latency: LatencyHistogram::new(),
             deadline: None,
-            fallback: None,
+            prior_label: 0,
+            forced: false,
             deadline_breaches: 0,
             truth: None,
         })
     }
 
     /// Arms (or disarms) the per-evaluation decision deadline. Breaches
-    /// are counted in the session's latency histogram and answered
-    /// according to the configured [`FallbackPolicy`].
-    pub fn set_deadline(&mut self, deadline: Option<DeadlineConfig>) {
+    /// are counted in the session's latency histogram, and a breach
+    /// before the final observation forces a decision on the observed
+    /// prefix (see [`StreamSession::force_decide`]); `prior_label`
+    /// answers only when that forced evaluation abstains.
+    pub fn set_deadline(&mut self, deadline: Option<Duration>, prior_label: usize) {
         self.deadline = deadline;
+        self.prior_label = prior_label;
     }
 
-    /// Why the committed decision was a fallback, when it was one.
-    pub fn fallback(&self) -> Option<FallbackKind> {
-        self.fallback
+    /// `true` when the committed decision was forced — by a deadline
+    /// breach or [`StreamSession::force_decide`] — rather than the
+    /// algorithm's own trigger.
+    pub fn forced(&self) -> bool {
+        self.forced
     }
 
     /// Evaluations that exceeded the armed deadline.
@@ -238,32 +196,16 @@ impl<'m> StreamSession<'m> {
         }
         let label = self.stream.decide(is_final)?;
         let breached = self.record_eval(started.elapsed().as_secs_f64());
-        // Deadline breach: the consumer was answered per policy at the
-        // moment the budget expired, so a genuine label arriving late
-        // cannot un-send that verdict — it is discarded (`PriorClass`)
-        // or adopted as the forced current-best (`DecideNow`). Only
-        // `Wait` accepts the late result. The final observation never
-        // falls back — `decide(true)` was already the forced
+        // Deadline breach: the budget expired, so the consumer is owed a
+        // decision now, made on the observed prefix — the breaching
+        // evaluation's own label when it produced one. The final
+        // observation is exempt: `decide(true)` already was the forced
         // evaluation and the stream is over.
-        if let (true, false, Some(cfg)) = (breached, is_final, self.deadline) {
-            match cfg.policy {
-                FallbackPolicy::Wait => {}
-                FallbackPolicy::PriorClass => {
-                    return Ok(Some(self.commit(
-                        cfg.prior_label,
-                        t,
-                        Some(FallbackKind::DeadlinePrior),
-                    )));
-                }
-                FallbackPolicy::DecideNow => {
-                    // The breaching evaluation itself may already have
-                    // produced the algorithm's current best.
-                    return self.commit_forced(label, cfg.prior_label, false).map(Some);
-                }
-            }
+        if breached && !is_final {
+            return self.commit_forced(label, self.prior_label).map(Some);
         }
         if let Some(label) = label {
-            return Ok(Some(self.commit(label, t, None)));
+            return Ok(Some(self.commit(label, t, false)));
         }
         Ok(None)
     }
@@ -281,39 +223,29 @@ impl<'m> StreamSession<'m> {
         if let Some(p) = self.decided {
             return Ok(p);
         }
-        if self.observed() == 0 {
-            return Ok(self.commit(prior_label, 0, Some(FallbackKind::DrainPrior)));
-        }
-        self.commit_forced(None, prior_label, true)
+        self.commit_forced(None, prior_label)
     }
 
     /// The one forced-decision path: commits `current` (a label the
     /// caller's evaluation already produced) or else the algorithm's
     /// forced verdict on the observed prefix, falling back to
-    /// `prior_label` when even that abstains. `drain` picks the
-    /// `Drain*` kinds over the `Deadline*` ones.
+    /// `prior_label` when even that abstains or nothing was observed.
     fn commit_forced(
         &mut self,
         current: Option<usize>,
         prior_label: usize,
-        drain: bool,
     ) -> Result<EarlyPrediction, EtscError> {
         let label = match current {
-            Some(label) => Some(label),
+            Some(label) => label,
+            None if self.observed() == 0 => prior_label,
             None => {
                 let started = Instant::now();
                 let forced = self.stream.decide(true)?;
                 self.record_eval(started.elapsed().as_secs_f64());
-                forced
+                forced.unwrap_or(prior_label)
             }
         };
-        let (label, kind) = match (label, drain) {
-            (Some(label), false) => (label, FallbackKind::DeadlineForced),
-            (Some(label), true) => (label, FallbackKind::DrainForced),
-            (None, false) => (prior_label, FallbackKind::DeadlinePrior),
-            (None, true) => (prior_label, FallbackKind::DrainPrior),
-        };
-        Ok(self.commit(label, self.observed(), Some(kind)))
+        Ok(self.commit(label, self.observed(), true))
     }
 
     /// Records one evaluation latency (against the armed deadline, if
@@ -321,10 +253,10 @@ impl<'m> StreamSession<'m> {
     fn record_eval(&mut self, secs: f64) -> bool {
         self.evals += 1;
         match self.deadline {
-            Some(cfg) => {
+            Some(deadline) => {
                 let breached = self
                     .latency
-                    .record_with_deadline(secs, cfg.deadline.as_secs_f64());
+                    .record_with_deadline(secs, deadline.as_secs_f64());
                 if breached {
                     self.deadline_breaches += 1;
                 }
@@ -337,15 +269,10 @@ impl<'m> StreamSession<'m> {
         }
     }
 
-    fn commit(
-        &mut self,
-        label: usize,
-        prefix_len: usize,
-        fallback: Option<FallbackKind>,
-    ) -> EarlyPrediction {
+    fn commit(&mut self, label: usize, prefix_len: usize, forced: bool) -> EarlyPrediction {
         let prediction = EarlyPrediction { label, prefix_len };
         self.decided = Some(prediction);
-        self.fallback = fallback;
+        self.forced = forced;
         prediction
     }
 }
@@ -421,79 +348,40 @@ mod tests {
     }
 
     #[test]
-    fn injected_delay_breaches_deadline_and_prior_fallback_commits() {
+    fn deadline_breach_forces_a_decision_on_the_observed_prefix() {
         let data = synthetic();
         let mut model = AlgoSpec::Ects.build(&data, &RunConfig::fast());
         model.fit(&data).unwrap();
         let inst = data.instance(0);
+        // The forced verdict on one row: the breaching `decide(false)`'s
+        // own label, or else `decide(true)` on the same prefix.
+        let mut reference = model.start_stream().unwrap();
+        reference.push(&[inst.at(0, 0)]).unwrap();
+        let expected = match reference.decide(false).unwrap() {
+            Some(label) => label,
+            None => reference.decide(true).unwrap().unwrap(),
+        };
         let mut s = StreamSession::new(&*model, 1, inst.len(), 1).unwrap();
-        s.set_deadline(Some(DeadlineConfig {
-            deadline: Duration::from_micros(1),
-            policy: FallbackPolicy::PriorClass,
-            prior_label: 1,
-        }));
-        // A 20ms injected delay against a 1µs deadline must breach.
+        // A prior no class carries: it must not answer, since the
+        // forced evaluation on an observed row yields a label.
+        s.set_deadline(Some(Duration::from_millis(5)), 99);
+        // A 20ms injected delay against a 5ms deadline must breach; the
+        // forced evaluation that follows takes microseconds.
         let p = s
             .push_with_delay(&[inst.at(0, 0)], Some(Duration::from_millis(20)))
             .unwrap()
-            .expect("prior-class fallback commits immediately");
-        assert_eq!(p.label, 1);
-        assert_eq!(p.prefix_len, 1);
-        assert_eq!(s.fallback(), Some(FallbackKind::DeadlinePrior));
+            .expect("a breach commits immediately");
+        assert_eq!(
+            p,
+            EarlyPrediction {
+                label: expected,
+                prefix_len: 1
+            }
+        );
+        assert!(s.forced());
         assert_eq!(s.deadline_breaches(), 1);
         assert_eq!(s.latency().over_deadline(), 1);
         assert!(s.is_done());
-    }
-
-    #[test]
-    fn decide_now_fallback_forces_the_algorithms_current_best() {
-        let data = synthetic();
-        let mut model = AlgoSpec::Ects.build(&data, &RunConfig::fast());
-        model.fit(&data).unwrap();
-        let inst = data.instance(0);
-        // The offline decision on the full series = the forced verdict
-        // ceiling; forcing early must still yield a valid label.
-        let mut s = StreamSession::new(&*model, 1, inst.len(), 1).unwrap();
-        s.set_deadline(Some(DeadlineConfig {
-            deadline: Duration::from_micros(1),
-            policy: FallbackPolicy::DecideNow,
-            prior_label: 0,
-        }));
-        let p = s
-            .push_with_delay(&[inst.at(0, 0)], Some(Duration::from_millis(20)))
-            .unwrap()
-            .expect("decide-now fallback commits");
-        assert!(matches!(
-            s.fallback(),
-            Some(FallbackKind::DeadlineForced | FallbackKind::DeadlinePrior)
-        ));
-        assert_eq!(p.prefix_len, 1);
-        assert!(s.is_done());
-    }
-
-    #[test]
-    fn wait_policy_only_counts_breaches() {
-        let data = synthetic();
-        let mut model = AlgoSpec::Ects.build(&data, &RunConfig::fast());
-        model.fit(&data).unwrap();
-        let inst = data.instance(0);
-        let mut s = StreamSession::new(&*model, 1, inst.len(), 1).unwrap();
-        s.set_deadline(Some(DeadlineConfig {
-            deadline: Duration::from_micros(1),
-            policy: FallbackPolicy::Wait,
-            prior_label: 0,
-        }));
-        let p = s
-            .push_with_delay(&[inst.at(0, 0)], Some(Duration::from_millis(5)))
-            .unwrap();
-        // ECTS does not commit on a single point of this series; Wait
-        // keeps the session open despite the breach.
-        if p.is_none() {
-            assert!(!s.is_done());
-        }
-        assert!(s.deadline_breaches() >= 1);
-        // Wait never commits a fallback verdict.
-        assert_eq!(s.fallback(), None);
     }
 
     #[test]
@@ -506,8 +394,7 @@ mod tests {
         let mut empty = StreamSession::new(&*model, 1, inst.len(), 1).unwrap();
         let p = empty.force_decide(1).unwrap();
         assert_eq!((p.label, p.prefix_len), (1, 0));
-        assert_eq!(empty.fallback(), Some(FallbackKind::DrainPrior));
-        assert!(empty.is_done());
+        assert!(empty.forced() && empty.is_done());
         // A partially-observed session is forced on its prefix.
         let mut s = StreamSession::new(&*model, 1, inst.len(), 1).unwrap();
         for t in 0..3 {

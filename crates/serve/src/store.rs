@@ -133,8 +133,9 @@ pub struct ModelMeta {
     pub train_len: usize,
     /// Class display names, indexed by dense label.
     pub class_names: Vec<String>,
-    /// Majority class of the training data — the baseline verdict
-    /// committed by the prior-class deadline fallback.
+    /// Majority class of the training data — the verdict a forced
+    /// decision commits when its evaluation abstains (a session drained
+    /// before it observed anything).
     pub prior_label: usize,
     /// Monotonic model generation, starting at 1 for a fresh
     /// `fit_model` and bumped by each adaptive refit — the counter the

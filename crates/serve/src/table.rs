@@ -17,7 +17,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use etsc_core::{panic_message, EarlyClassifier, EarlyPrediction, EtscError};
 use etsc_eval::FaultSchedule;
 
-use crate::session::{DeadlineConfig, FallbackKind, StreamSession};
+use std::time::Duration;
+
+use crate::session::StreamSession;
 
 /// What one push or forced decision did to a session. The session
 /// stays in the table either way; the caller removes it once it has
@@ -26,9 +28,10 @@ use crate::session::{DeadlineConfig, FallbackKind, StreamSession};
 pub enum Step {
     /// No decision yet.
     Pending,
-    /// A committed decision; `Some(kind)` when a fallback path, not the
-    /// algorithm's own trigger, produced it.
-    Decided(EarlyPrediction, Option<FallbackKind>),
+    /// A committed decision; `true` when it was forced (a deadline
+    /// breach or [`SessionTable::force`]) rather than the algorithm's
+    /// own trigger.
+    Decided(EarlyPrediction, bool),
     /// The model returned an error.
     Failed(EtscError),
     /// The evaluation panicked; carries the panic message.
@@ -44,23 +47,32 @@ struct Entry<'m> {
 pub struct SessionTable<'m> {
     model: &'m dyn EarlyClassifier,
     batch: usize,
+    prior_label: usize,
     sessions: HashMap<u64, Entry<'m>>,
 }
 
 impl<'m> SessionTable<'m> {
     /// An empty table serving `model`, re-evaluating every `batch`
-    /// points (the algorithm's decision batch).
-    pub fn new(model: &'m dyn EarlyClassifier, batch: usize) -> SessionTable<'m> {
+    /// points (the algorithm's decision batch). `prior_label`, the
+    /// model's training prior, answers a forced decision whose
+    /// evaluation abstains (nothing observed yet).
+    pub fn new(
+        model: &'m dyn EarlyClassifier,
+        batch: usize,
+        prior_label: usize,
+    ) -> SessionTable<'m> {
         SessionTable {
             model,
             batch,
+            prior_label,
             sessions: HashMap::new(),
         }
     }
 
     /// Opens session `id` (replacing any session under that id). `seq`
     /// is its arrival number, the coordinate a [`FaultSchedule`]
-    /// addresses it by.
+    /// addresses it by; an evaluation slower than `deadline` forces
+    /// the session's decision on its observed prefix.
     ///
     /// # Errors
     /// [`EtscError::NotFitted`] when the model has not been trained.
@@ -70,10 +82,10 @@ impl<'m> SessionTable<'m> {
         seq: usize,
         vars: usize,
         expected_len: usize,
-        deadline: Option<DeadlineConfig>,
+        deadline: Option<Duration>,
     ) -> Result<(), EtscError> {
         let mut session = StreamSession::new(self.model, vars, expected_len, self.batch)?;
-        session.set_deadline(deadline);
+        session.set_deadline(deadline, self.prior_label);
         self.sessions.insert(id, Entry { session, seq });
         Ok(())
     }
@@ -136,10 +148,11 @@ impl<'m> SessionTable<'m> {
     }
 
     /// Forces session `id` to decide on what it has observed, or on
-    /// `prior_label` when the forced evaluation abstains; the decision
-    /// carries a `Drain*` fallback kind. An already-decided session
-    /// returns its decision. `None` when `id` is not open.
-    pub fn force(&mut self, id: u64, prior_label: usize) -> Option<Step> {
+    /// the prior label when the forced evaluation abstains. An
+    /// already-decided session returns its decision. `None` when `id`
+    /// is not open.
+    pub fn force(&mut self, id: u64) -> Option<Step> {
+        let prior_label = self.prior_label;
         let session = &mut self.sessions.get_mut(&id)?.session;
         Some(evaluate(session, |s| s.force_decide(prior_label).map(Some)))
     }
@@ -153,7 +166,7 @@ fn evaluate<'m>(
 ) -> Step {
     match catch_unwind(AssertUnwindSafe(|| eval(session))) {
         Ok(Ok(None)) => Step::Pending,
-        Ok(Ok(Some(prediction))) => Step::Decided(prediction, session.fallback()),
+        Ok(Ok(Some(prediction))) => Step::Decided(prediction, session.forced()),
         Ok(Err(e)) => Step::Failed(e),
         Err(payload) => Step::Panicked(panic_message(payload.as_ref())),
     }
@@ -175,19 +188,18 @@ mod tests {
         }
         let mut model = Ects::new(EctsConfig { support: 0 });
         model.fit(&b.build().unwrap()).unwrap();
-        let mut table = SessionTable::new(&model, 1);
+        let mut table = SessionTable::new(&model, 1, 1);
         table.open(7, 0, 1, 8, None).unwrap();
         // Nothing observed yet: the forced decision is the prior, and
         // forcing again returns it unchanged.
         for _ in 0..2 {
             assert!(matches!(
-                table.force(7, 1),
-                Some(Step::Decided(p, Some(FallbackKind::DrainPrior)))
-                    if p.label == 1 && p.prefix_len == 0
+                table.force(7),
+                Some(Step::Decided(p, true)) if p.label == 1 && p.prefix_len == 0
             ));
         }
         assert_eq!(table.len(), 1);
         assert!(table.remove(7).is_some() && table.is_empty());
-        assert!(table.force(7, 0).is_none() && table.push(7, &[0.0], None).is_none());
+        assert!(table.force(7).is_none() && table.push(7, &[0.0], None).is_none());
     }
 }

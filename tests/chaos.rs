@@ -25,8 +25,7 @@ use etsc::datasets::{GenOptions, PaperDataset};
 use etsc::eval::experiment::{AlgoSpec, RunConfig};
 use etsc::eval::FaultPlan;
 use etsc::serve::{
-    fit_model, load_resilient, replay_dataset, DeadlineConfig, FallbackPolicy, ReplayOptions,
-    SessionOutcome, StoredModel,
+    fit_model, load_resilient, replay_dataset, ReplayOptions, SessionOutcome, StoredModel,
 };
 
 /// The seeded plan the whole suite runs under (also exercised by the
@@ -57,11 +56,7 @@ fn chaos_replay_zero_session_drops_and_full_attribution() {
         &data,
         &ReplayOptions {
             workers: 4,
-            deadline: Some(DeadlineConfig {
-                deadline: Duration::from_millis(5),
-                policy: FallbackPolicy::PriorClass,
-                prior_label: stored.meta.prior_label,
-            }),
+            deadline: Some(Duration::from_millis(5)),
             faults: Some(plan),
             ..ReplayOptions::default()
         },
@@ -117,7 +112,7 @@ fn chaos_replay_zero_session_drops_and_full_attribution() {
         "every fallback is a counted breach"
     );
     for (s, outcome) in report.outcomes.iter().enumerate() {
-        if matches!(outcome, SessionOutcome::Fallback { .. }) {
+        if matches!(outcome, SessionOutcome::Fallback(_)) {
             assert!(schedule.touches(s), "session {s} fell back without a fault");
         }
     }

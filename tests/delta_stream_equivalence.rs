@@ -6,14 +6,14 @@
 //! seeded: rows with NaN and ±inf, exactly tied training series,
 //! shapelets longer than the prefix, sessions that evaluate every row
 //! or every third row, and a forced final decision right after a
-//! non-final one (a `DecideNow` deadline breach and `force_decide`).
+//! non-final one (a deadline breach and `force_decide`).
 
 use std::time::Duration;
 
 use etsc::core::{EarlyClassifier, Ects, EctsConfig, Edsc, EdscConfig};
 use etsc::data::{Dataset, DatasetBuilder, Decoder, Encoder, Label, MultiSeries, Series};
 use etsc::ml::knn::nearest_prefix;
-use etsc::serve::{DeadlineConfig, FallbackKind, FallbackPolicy, StreamSession};
+use etsc::serve::StreamSession;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -274,8 +274,8 @@ fn expected_session(
         .find_map(|t| reference(&values[..t], t == values.len()).map(|label| (label, t)))
 }
 
-/// Sessions with batch 1 and 3: the plain decision, a `DecideNow`
-/// breach at the `k`-th evaluation, and a drain one row before it.
+/// Sessions with batch 1 and 3: the plain decision, a deadline breach
+/// at the `k`-th evaluation, and a drain one row before it.
 fn check_sessions(
     name: &str,
     model: &dyn EarlyClassifier,
@@ -305,11 +305,7 @@ fn check_sessions(
         for &x in &values[..at - 1] {
             assert_eq!(session.push(&[x]).unwrap(), None);
         }
-        session.set_deadline(Some(DeadlineConfig {
-            deadline: Duration::from_micros(1),
-            policy: FallbackPolicy::DecideNow,
-            prior_label: 99,
-        }));
+        session.set_deadline(Some(Duration::from_micros(1)), 99);
         let p = session
             .push_with_delay(&[values[at - 1]], Some(Duration::from_millis(1)))
             .unwrap()
@@ -323,7 +319,7 @@ fn check_sessions(
             (label, at),
             "{name}: breach at {at}"
         );
-        assert_eq!(session.fallback(), Some(FallbackKind::DeadlineForced));
+        assert!(session.forced());
 
         // A drain after `at - 1` rows, the last of them unevaluated
         // when `batch > 1`.
@@ -334,7 +330,7 @@ fn check_sessions(
         }
         let p = session.force_decide(99).unwrap();
         if rows == 0 {
-            assert_eq!(session.fallback(), Some(FallbackKind::DrainPrior));
+            assert_eq!((p.label, p.prefix_len, session.forced()), (99, 0, true));
             continue;
         }
         let label = reference(&values[..rows], true).unwrap();
@@ -343,7 +339,7 @@ fn check_sessions(
             (label, rows),
             "{name}: drain at {rows}"
         );
-        assert_eq!(session.fallback(), Some(FallbackKind::DrainForced));
+        assert!(session.forced());
     }
 }
 
