@@ -59,8 +59,8 @@ use etsc_datasets::{drift_stream, DriftKind, DriftOptions, PaperDataset};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
 use etsc_eval::FaultPlan;
 use etsc_net::{
-    run_fleet, run_loadgen, ClientConfig, FleetOptions, FleetReport, LoadReport, LoadgenOptions,
-    NetServer, ServerConfig,
+    run_fleet, run_loadgen, ClientBuilder, Endpoint, FleetOptions, FleetReport, LoadReport,
+    LoadgenOptions, ServerBuilder,
 };
 use etsc_obs::Histogram;
 use etsc_serve::{fit_model, replicate, StoredModel};
@@ -500,13 +500,10 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
             ..AdapterConfig::default()
         },
     );
-    let server = match NetServer::bind(
+    let server = match Endpoint::serve(
         stored,
         "127.0.0.1:0",
-        ServerConfig {
-            feedback: Some(Arc::new(adapter.clone())),
-            ..ServerConfig::default()
-        },
+        ServerBuilder::new().feedback(Arc::new(adapter.clone())),
     ) {
         Ok(server) => Arc::new(server),
         Err(e) => {
@@ -531,7 +528,7 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
         // adapter was tuned against.
         batch: 1,
         faults: None,
-        client: ClientConfig::default(),
+        client: ClientBuilder::new(),
         wait_timeout: Duration::from_secs(60),
         open_ahead: 0,
         feedback: true,
@@ -577,7 +574,7 @@ fn run_drift_mode(args: &Args, algo: AlgoSpec) -> bool {
     );
     adapter.set_swap_hook(|_| {}); // release the server handle
     let mut stopper_ok = true;
-    match etsc_net::Client::connect(&addr, ClientConfig::default()) {
+    match Endpoint::connect(&addr, ClientBuilder::new()) {
         Ok(mut c) => {
             let _ = c.shutdown_server();
             let _ = c.wait_drain(Duration::from_secs(10));
@@ -737,14 +734,10 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
 
     let mut ok = true;
     let mut run_point = |depth: usize| -> Option<OverloadPoint> {
-        let server = match NetServer::bind(
+        let server = match Endpoint::serve(
             Arc::clone(&stored),
             "127.0.0.1:0",
-            ServerConfig {
-                faults: Some(plan.clone()),
-                fault_horizon: sessions,
-                ..ServerConfig::default()
-            },
+            ServerBuilder::new().faults(plan.clone(), sessions),
         ) {
             Ok(server) => server,
             Err(e) => {
@@ -765,10 +758,7 @@ fn run_overload_mode(args: &Args, algo: AlgoSpec, data: &Dataset) -> bool {
                 faults: None,
                 // Budget 0: every server refusal is one client-visible
                 // shed, so the curve's shed ratio is exact.
-                client: ClientConfig {
-                    open_retry_budget: 0,
-                    ..ClientConfig::default()
-                },
+                client: ClientBuilder::new().retry_budgets(0, 3),
                 wait_timeout: Duration::from_secs(60),
                 open_ahead: depth,
                 feedback: false,
@@ -957,7 +947,7 @@ fn main() -> ExitCode {
         rate: args.rate,
         batch: args.batch,
         faults: args.faults.clone(),
-        client: ClientConfig::default(),
+        client: ClientBuilder::new(),
         wait_timeout: Duration::from_secs(60),
         open_ahead: 0,
         feedback: false,
@@ -1018,7 +1008,7 @@ fn main() -> ExitCode {
                     continue;
                 }
             };
-            let server = match NetServer::bind(stored, "127.0.0.1:0", ServerConfig::default()) {
+            let server = match Endpoint::serve(stored, "127.0.0.1:0", ServerBuilder::new()) {
                 Ok(server) => server,
                 Err(e) => {
                     diag(format_args!(

@@ -16,7 +16,7 @@ use etsc_eval::experiment::{run_cell, AlgoSpec, RunConfig};
 use etsc_eval::report::render_matrix_status;
 use etsc_eval::supervisor::SupervisorOptions;
 use etsc_eval::{CommonOpts, FaultPlan, MatrixRunner, TriggerCellResult};
-use etsc_net::{Client, ClientConfig, Endpoint, NetError, RouterBuilder, ServerBuilder};
+use etsc_net::{ClientBuilder, Endpoint, NetError, RouterBuilder, ServerBuilder};
 use etsc_serve::{
     fit_model, fit_triggered_model, load_resilient, replay_dataset, ReplayOptions, StoredModel,
 };
@@ -1061,7 +1061,7 @@ fn predict_connect(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(),
             data.len()
         )));
     }
-    let mut client = Client::connect(addr, ClientConfig::default())
+    let mut client = Endpoint::connect(addr, ClientBuilder::new())
         .map_err(|e| CliError::Runtime(format!("connecting to {addr}: {e}")))?;
     let meta = client.meta().clone();
     if data.vars() != meta.vars {
@@ -1640,7 +1640,7 @@ mod tests {
         assert!(predicted.contains("feedback sent"), "{predicted}");
         // A second client asks the server to drain; the serve command
         // must then return with its stats report.
-        let mut stopper = Client::connect(&addr, ClientConfig::default()).unwrap();
+        let mut stopper = Endpoint::connect(&addr, ClientBuilder::new()).unwrap();
         stopper.shutdown_server().unwrap();
         stopper.wait_drain(Duration::from_secs(10)).unwrap();
         server.join().unwrap().unwrap();
@@ -1765,7 +1765,7 @@ mod tests {
         .unwrap();
         assert!(predicted.contains("earliness"), "{predicted}");
 
-        let mut stopper = Client::connect(&raddr, ClientConfig::default()).unwrap();
+        let mut stopper = Endpoint::connect(&raddr, ClientBuilder::new()).unwrap();
         stopper.shutdown_server().unwrap();
         stopper.wait_drain(Duration::from_secs(10)).unwrap();
         router.join().unwrap().unwrap();
@@ -1774,7 +1774,7 @@ mod tests {
         assert!(text.contains("open sessions at exit: 0"), "{text}");
 
         for addr in [&addr0, &addr1] {
-            let mut stop = Client::connect(addr, ClientConfig::default()).unwrap();
+            let mut stop = Endpoint::connect(addr, ClientBuilder::new()).unwrap();
             stop.shutdown_server().unwrap();
             stop.wait_drain(Duration::from_secs(10)).unwrap();
         }

@@ -22,81 +22,42 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use crate::options::ClientBuilder;
 use crate::proto::{
     encode_frame, DecisionKind, ErrorCode, Frame, FrameDecoder, ModelInfo, ProtoError, RetryClass,
-    BATCH_MINOR, MAX_FRAME_BYTES, PRIORITY_NORMAL, PROTO_MINOR, PROTO_VERSION,
+    BATCH_MINOR, MAX_FRAME_BYTES, PRIORITY_NORMAL, PROTO_VERSION,
 };
 
 /// Read-timeout granularity for the blocking pump: short enough that
 /// bounded waits stay responsive, long enough not to spin.
 const READ_POLL: Duration = Duration::from_millis(25);
 
-/// Tuning knobs for [`Client`]. Prefer building this through
-/// [`crate::ClientBuilder`], which validates the combination.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Peer identification sent in the handshake.
-    pub agent: String,
-    /// Per-frame payload ceiling.
-    pub max_frame_bytes: usize,
-    /// Highest protocol minor revision this client negotiates —
-    /// [`PROTO_MINOR`] normally; interop tests lower it to impersonate
-    /// an older peer.
-    pub protocol_minor: u32,
-    /// Budget for the Hello exchange.
-    pub handshake_timeout: Duration,
-    /// Redials attempted per broken connection before giving up.
-    pub reconnect_attempts: usize,
-    /// Base pause before the second dial; later attempts double it
-    /// (capped at [`ClientConfig::reconnect_backoff_cap`]) and add
-    /// seeded jitter so a fleet of clients orphaned by one shard death
-    /// does not thundering-herd the takeover shard.
-    pub reconnect_backoff: Duration,
-    /// Ceiling on the exponential portion of the backoff.
-    pub reconnect_backoff_cap: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is stretched by up to
-    /// `1 + reconnect_jitter`, deterministically from
-    /// [`ClientConfig::jitter_seed`] and the attempt number.
-    pub reconnect_jitter: f64,
-    /// Seed for the jitter stream. The default draws a process-unique
-    /// value so concurrent clients spread out without any shared clock.
-    pub jitter_seed: u64,
-    /// Per-decision deadline (ms) propagated on every `OpenSession`;
-    /// 0 propagates nothing.
-    pub deadline_ms: u64,
-    /// Remaining per-row budget (ms) propagated on every `Observe`;
-    /// 0 propagates nothing. A server whose queue outlives this budget
-    /// skips the evaluation instead of computing a dead answer.
-    pub observe_deadline_ms: u64,
-    /// Automatic re-opens (under a fresh id) a session refused with a
-    /// retryable error gets before the refusal becomes its outcome.
-    /// Each retry honours the server's `retry_after_ms` hint,
-    /// stretched by seeded jitter.
-    pub open_retry_budget: u32,
-    /// Redials [`Client::connect`] spends on retryable refusals
-    /// (accept-time shed, draining) before giving up.
-    pub connect_retry_budget: u32,
-}
+/// Peer identification this client sends in the handshake.
+const AGENT: &str = "etsc-net-client";
 
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        static NEXT_SEED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-        ClientConfig {
-            agent: "etsc-net-client".to_string(),
-            max_frame_bytes: MAX_FRAME_BYTES,
-            protocol_minor: PROTO_MINOR,
-            handshake_timeout: Duration::from_secs(10),
-            reconnect_attempts: 3,
-            reconnect_backoff: Duration::from_millis(25),
-            reconnect_backoff_cap: Duration::from_secs(1),
-            reconnect_jitter: 0.5,
-            jitter_seed: NEXT_SEED.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            deadline_ms: 0,
-            observe_deadline_ms: 0,
-            open_retry_budget: 3,
-            connect_retry_budget: 3,
-        }
-    }
+/// Budget for the `Hello` exchange.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Redials attempted per broken connection before giving up.
+const RECONNECT_ATTEMPTS: usize = 3;
+
+/// Pause before the second dial; later attempts double it, up to
+/// [`RECONNECT_BACKOFF_CAP`], and add seeded jitter so a fleet of
+/// clients orphaned by one shard death does not thundering-herd the
+/// takeover shard.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Ceiling on the exponential portion of the backoff.
+const RECONNECT_BACKOFF_CAP: Duration = Duration::from_secs(1);
+
+/// Each pause is stretched by up to `1 + RECONNECT_JITTER`.
+const RECONNECT_JITTER: f64 = 0.5;
+
+/// A process-unique jitter seed per client, so concurrent clients
+/// spread out without any shared clock.
+fn next_jitter_seed() -> u64 {
+    static NEXT_SEED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    NEXT_SEED.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// SplitMix64: a tiny, high-quality bit mixer. The client uses it for
@@ -109,26 +70,23 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A uniform draw in `[0, 1)` from 53 bits of `splitmix64(x)`.
+fn unit(x: u64) -> f64 {
+    (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// The pause before redial `attempt` (1-based): exponential from
-/// [`ClientConfig::reconnect_backoff`], capped at
-/// [`ClientConfig::reconnect_backoff_cap`], stretched by up to
-/// `1 + reconnect_jitter` using a uniform draw seeded from
-/// `jitter_seed ^ attempt`. Deterministic per (config, attempt); two
-/// clients with different seeds spread apart.
-#[must_use]
-pub fn reconnect_delay(config: &ClientConfig, attempt: usize) -> Duration {
+/// [`RECONNECT_BACKOFF`], capped at [`RECONNECT_BACKOFF_CAP`],
+/// stretched by up to `1 + RECONNECT_JITTER` using a uniform draw
+/// seeded from `jitter_seed ^ attempt`. Deterministic per (seed,
+/// attempt); two clients with different seeds spread apart.
+fn reconnect_delay(jitter_seed: u64, attempt: usize) -> Duration {
     let attempt = attempt.max(1);
-    let base = config.reconnect_backoff.max(Duration::from_micros(1));
-    let shift = (attempt - 1).min(20) as u32;
-    let exp = base
-        .saturating_mul(1u32 << shift.min(31))
-        .min(config.reconnect_backoff_cap.max(base));
-    let jitter = config.reconnect_jitter.clamp(0.0, 1.0);
-    // 53 uniform bits in [0, 1).
-    let u = (splitmix64(config.jitter_seed ^ (attempt as u64).wrapping_mul(0xA5A5_A5A5)) >> 11)
-        as f64
-        / (1u64 << 53) as f64;
-    exp.mul_f64(1.0 + jitter * u)
+    let exp = RECONNECT_BACKOFF
+        .saturating_mul(1u32 << (attempt - 1).min(20))
+        .min(RECONNECT_BACKOFF_CAP);
+    let u = unit(jitter_seed ^ (attempt as u64).wrapping_mul(0xA5A5_A5A5));
+    exp.mul_f64(1.0 + RECONNECT_JITTER * u)
 }
 
 /// A committed verdict as seen from the client side.
@@ -170,9 +128,6 @@ pub enum NetError {
     Timeout(String),
     /// The connection is gone and could not be re-established.
     Closed(String),
-    /// A builder refused the config combination before dialing (see
-    /// [`crate::ConfigError`]).
-    Config(String),
 }
 
 impl fmt::Display for NetError {
@@ -185,7 +140,6 @@ impl fmt::Display for NetError {
             }
             NetError::Timeout(what) => write!(f, "timed out waiting for {what}"),
             NetError::Closed(why) => write!(f, "connection closed: {why}"),
-            NetError::Config(why) => write!(f, "{why}"),
         }
     }
 }
@@ -233,13 +187,12 @@ struct SessionState {
 /// multiplexing many sessions.
 pub struct Client {
     addr: String,
-    config: ClientConfig,
+    config: ClientBuilder,
+    /// Seeds the backoff and retry-hint jitter.
+    jitter_seed: u64,
     stream: TcpStream,
     dec: FrameDecoder,
     meta: ModelInfo,
-    /// Negotiated minor revision: `min(server minor, ours)`. Batch
-    /// frames flow only at [`BATCH_MINOR`] and above.
-    negotiated: u32,
     sessions: HashMap<u64, SessionState>,
     /// Refused-then-retried session ids, mapped to their replacement.
     /// Late frames for the refused id stop resolving to a session;
@@ -255,18 +208,16 @@ pub struct Client {
 }
 
 impl Client {
-    /// Dials `addr` and performs the Hello exchange. Retryable
-    /// refusals (accept-time shed, draining) are redialled up to
-    /// [`ClientConfig::connect_retry_budget`] times, honouring the
-    /// server's `retry_after_ms` hint under the usual seeded jitter.
-    ///
-    /// # Errors
-    /// [`NetError::Proto`] on dial/handshake failure, [`NetError::Server`]
-    /// when the server refuses the connection (shedding, draining).
-    pub fn connect(addr: &str, config: ClientConfig) -> Result<Client, NetError> {
+    /// Dials `addr` and performs the Hello exchange; reached through
+    /// [`crate::Endpoint::connect`]. Retryable refusals (accept-time
+    /// shed, draining) are redialled up to the builder's connect retry
+    /// budget, honouring the server's `retry_after_ms` hint under the
+    /// usual seeded jitter.
+    pub(crate) fn connect(addr: &str, config: ClientBuilder) -> Result<Client, NetError> {
+        let jitter_seed = next_jitter_seed();
         let mut attempt: u32 = 0;
-        let (stream, dec, meta, negotiated) = loop {
-            match dial(addr, &config) {
+        let (stream, dec, meta) = loop {
+            match dial(addr, AGENT, HANDSHAKE_TIMEOUT) {
                 Ok(x) => break x,
                 Err(NetError::Server {
                     code,
@@ -282,7 +233,7 @@ impl Client {
                     }
                     attempt += 1;
                     let hint = retry.retry_after().unwrap_or_default();
-                    std::thread::sleep(hint.max(reconnect_delay(&config, attempt as usize)));
+                    std::thread::sleep(hint.max(reconnect_delay(jitter_seed, attempt as usize)));
                 }
                 Err(e) => return Err(e),
             }
@@ -290,10 +241,10 @@ impl Client {
         Ok(Client {
             addr: addr.to_string(),
             config,
+            jitter_seed,
             stream,
             dec,
             meta,
-            negotiated,
             sessions: HashMap::new(),
             aliases: HashMap::new(),
             next_id: 1,
@@ -322,13 +273,6 @@ impl Client {
     /// Shape of the model this server is exposing.
     pub fn meta(&self) -> &ModelInfo {
         &self.meta
-    }
-
-    /// The protocol minor revision negotiated with the server:
-    /// `min(server minor, ours)`. [`Client::observe_batch`] coalesces
-    /// rows into `ObserveBatch` frames only at [`BATCH_MINOR`] and up.
-    pub fn negotiated_minor(&self) -> u32 {
-        self.negotiated
     }
 
     /// Fault and recovery counters.
@@ -396,13 +340,11 @@ impl Client {
         })
     }
 
-    /// Sends many observation rows for session `id` in one shot. When
-    /// the connection negotiated rev [`BATCH_MINOR`], the rows are
+    /// Sends many observation rows for session `id` in one shot,
     /// coalesced into `ObserveBatch` frames (chunked so each frame
-    /// stays under the payload ceiling); against an older server each
-    /// row goes out as a plain `Observe`. Either way, every row is
-    /// buffered for replay individually — a reconnect mid-batch
-    /// resumes row by row. A no-op once the session has an outcome.
+    /// stays under [`MAX_FRAME_BYTES`]). Every row is buffered for
+    /// replay individually — a reconnect mid-batch resumes row by row.
+    /// A no-op once the session has an outcome.
     ///
     /// # Errors
     /// [`NetError::Closed`] / [`NetError::Proto`].
@@ -423,21 +365,10 @@ impl Client {
             state.sent.push(row.clone());
             state.send_times.push(now);
         }
-        if self.negotiated < BATCH_MINOR {
-            for (i, row) in rows.iter().enumerate() {
-                self.send(&Frame::Observe {
-                    session: id,
-                    step: start_step + i as u64,
-                    row: row.clone(),
-                    deadline_ms: self.config.observe_deadline_ms,
-                })?;
-            }
-            return Ok(());
-        }
         // Rows per frame such that the payload (8 bytes per value plus
         // slack for the envelope) stays under the ceiling.
         let row_len = rows[0].len().max(1);
-        let max_rows = (self.config.max_frame_bytes.saturating_sub(64) / (8 * row_len)).max(1);
+        let max_rows = (MAX_FRAME_BYTES.saturating_sub(64) / (8 * row_len)).max(1);
         for (chunk_i, chunk) in rows.chunks(max_rows).enumerate() {
             self.send(&Frame::ObserveBatch {
                 session: id,
@@ -590,7 +521,7 @@ impl Client {
                 row: row.to_vec(),
                 deadline_ms: self.config.observe_deadline_ms,
             },
-            self.config.max_frame_bytes,
+            MAX_FRAME_BYTES,
         )?;
         let half = wire.len() / 2;
         let _ = self.stream.write_all(&wire[..half]);
@@ -615,7 +546,7 @@ impl Client {
 
     /// Sends a real observation slow-loris style: half the frame, a
     /// stall, then the rest. The server's idle guard must tolerate
-    /// stalls below its `idle_timeout` and the row must still count.
+    /// stalls below its idle budget and the row must still count.
     ///
     /// # Errors
     /// [`NetError::Closed`] / [`NetError::Proto`].
@@ -636,7 +567,7 @@ impl Client {
                 row: row.to_vec(),
                 deadline_ms: self.config.observe_deadline_ms,
             },
-            self.config.max_frame_bytes,
+            MAX_FRAME_BYTES,
         )?;
         self.stats.loris_stalls += 1;
         let half = (wire.len() / 2).max(1);
@@ -660,7 +591,7 @@ impl Client {
         if self.closed {
             return Err(NetError::Closed("client already closed".to_string()));
         }
-        let wire = encode_frame(frame, self.config.max_frame_bytes)?;
+        let wire = encode_frame(frame, MAX_FRAME_BYTES)?;
         if self
             .stream
             .write_all(&wire)
@@ -677,7 +608,7 @@ impl Client {
             // Already in the replay buffer; the reconnect resent them.
             Frame::Observe { .. } | Frame::ObserveBatch { .. } => Ok(()),
             _ => {
-                let wire = encode_frame(frame, self.config.max_frame_bytes)?;
+                let wire = encode_frame(frame, MAX_FRAME_BYTES)?;
                 self.stream
                     .write_all(&wire)
                     .and_then(|()| self.stream.flush())
@@ -847,15 +778,13 @@ impl Client {
         }
     }
 
-    /// The duration stretched by up to `1 + reconnect_jitter` (seeded,
+    /// The duration stretched by up to `1 + RECONNECT_JITTER` (seeded,
     /// deterministic), floored at 1ms and capped at 5s — the pause
     /// before acting on a server's `retry_after_ms` hint.
     fn jittered(&self, hint: Duration) -> Duration {
-        let jitter = self.config.reconnect_jitter.clamp(0.0, 1.0);
-        let u =
-            (splitmix64(self.config.jitter_seed ^ self.next_id) >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit(self.jitter_seed ^ self.next_id);
         hint.max(Duration::from_millis(1))
-            .mul_f64(1.0 + jitter * u)
+            .mul_f64(1.0 + RECONNECT_JITTER * u)
             .min(Duration::from_secs(5))
     }
 
@@ -908,11 +837,11 @@ impl Client {
             return Err(NetError::Closed("server is draining".to_string()));
         }
         let mut last = String::new();
-        for attempt in 0..self.config.reconnect_attempts.max(1) {
+        for attempt in 0..RECONNECT_ATTEMPTS {
             if attempt > 0 {
-                std::thread::sleep(reconnect_delay(&self.config, attempt));
+                std::thread::sleep(reconnect_delay(self.jitter_seed, attempt));
             }
-            let (mut stream, dec, _meta, negotiated) = match dial(&self.addr, &self.config) {
+            let (mut stream, dec, _meta) = match dial(&self.addr, AGENT, HANDSHAKE_TIMEOUT) {
                 Ok(x) => x,
                 Err(e) => {
                     last = e.to_string();
@@ -923,9 +852,6 @@ impl Client {
                 Ok(()) => {
                     self.stream = stream;
                     self.dec = dec;
-                    // Renegotiated per connection: a failover may land
-                    // on a peer speaking a different revision.
-                    self.negotiated = negotiated;
                     self.stats.reconnects += 1;
                     return Ok(());
                 }
@@ -943,7 +869,7 @@ impl Client {
     }
 
     fn replay_sessions(&mut self, stream: &mut TcpStream) -> Result<(), ProtoError> {
-        let max = self.config.max_frame_bytes;
+        let max = MAX_FRAME_BYTES;
         let now = Instant::now();
         let mut ids: Vec<u64> = self
             .sessions
@@ -993,36 +919,28 @@ impl Client {
     }
 }
 
-/// Dial + Hello exchange. Returns the connected stream (read timeout
-/// armed), its decoder, the server's model info, and the negotiated
-/// minor revision (`min(server minor, ours)`). Shared with the router,
-/// whose health probes and upstream connections speak the same
-/// handshake.
+/// Dial + Hello exchange as `agent`, bounded by `handshake_timeout`.
+/// Returns the connected stream (read timeout armed), its decoder, and
+/// the server's model info. A server below wire revision
+/// [`BATCH_MINOR`] is refused with [`ProtoError::MinorRevision`]: this
+/// end always speaks batch frames. Shared with the router, whose health
+/// probes and upstream connections speak the same handshake.
 pub(crate) fn dial(
     addr: &str,
-    config: &ClientConfig,
-) -> Result<(TcpStream, FrameDecoder, ModelInfo, u32), NetError> {
+    agent: &str,
+    handshake_timeout: Duration,
+) -> Result<(TcpStream, FrameDecoder, ModelInfo), NetError> {
     let mut stream = TcpStream::connect(addr).map_err(ProtoError::Io)?;
     stream.set_nodelay(true).map_err(ProtoError::Io)?;
     stream
         .set_read_timeout(Some(READ_POLL))
         .map_err(ProtoError::Io)?;
-    // Built by hand (not `Frame::hello`) so an interop test can
-    // impersonate an older peer via `protocol_minor`.
-    let hello = encode_frame(
-        &Frame::Hello {
-            version: PROTO_VERSION,
-            minor: config.protocol_minor,
-            agent: config.agent.clone(),
-            meta: None,
-        },
-        config.max_frame_bytes,
-    )?;
+    let hello = encode_frame(&Frame::hello(agent, None), MAX_FRAME_BYTES)?;
     stream
         .write_all(&hello)
         .and_then(|()| stream.flush())
         .map_err(ProtoError::Io)?;
-    let mut dec = FrameDecoder::new(config.max_frame_bytes);
+    let mut dec = FrameDecoder::new(MAX_FRAME_BYTES);
     let started = Instant::now();
     loop {
         if let Some(frame) = dec.next_frame()? {
@@ -1040,13 +958,20 @@ pub(crate) fn dial(
                         }
                         .into());
                     }
+                    if minor < BATCH_MINOR {
+                        return Err(ProtoError::MinorRevision {
+                            got: minor,
+                            min: BATCH_MINOR,
+                        }
+                        .into());
+                    }
                     let Some(meta) = meta else {
                         return Err(ProtoError::Corrupt(
                             "server hello carried no model info".to_string(),
                         )
                         .into());
                     };
-                    return Ok((stream, dec, meta, minor.min(config.protocol_minor)));
+                    return Ok((stream, dec, meta));
                 }
                 Frame::Error {
                     code,
@@ -1069,7 +994,7 @@ pub(crate) fn dial(
                 }
             }
         }
-        if started.elapsed() > config.handshake_timeout {
+        if started.elapsed() > handshake_timeout {
             return Err(NetError::Timeout("server hello".to_string()));
         }
         match dec.read_from(&mut stream) {
@@ -1089,29 +1014,18 @@ pub(crate) fn dial(
 mod tests {
     use super::*;
 
-    fn config(seed: u64) -> ClientConfig {
-        ClientConfig {
-            reconnect_backoff: Duration::from_millis(25),
-            reconnect_backoff_cap: Duration::from_millis(400),
-            reconnect_jitter: 0.5,
-            jitter_seed: seed,
-            ..ClientConfig::default()
-        }
-    }
-
     #[test]
     fn backoff_schedule_is_exponential_within_jitter_bounds() {
         for seed in 0..64u64 {
-            let cfg = config(seed);
             for attempt in 1..=10usize {
-                let exp = Duration::from_millis(25)
+                let exp = RECONNECT_BACKOFF
                     .saturating_mul(1u32 << (attempt as u32 - 1))
-                    .min(Duration::from_millis(400));
-                let d = reconnect_delay(&cfg, attempt);
+                    .min(RECONNECT_BACKOFF_CAP);
+                let d = reconnect_delay(seed, attempt);
                 assert!(
-                    d >= exp && d <= exp.mul_f64(1.5),
+                    d >= exp && d <= exp.mul_f64(1.0 + RECONNECT_JITTER),
                     "seed {seed} attempt {attempt}: {d:?} outside [{exp:?}, {:?}]",
-                    exp.mul_f64(1.5)
+                    exp.mul_f64(1.0 + RECONNECT_JITTER)
                 );
             }
         }
@@ -1119,43 +1033,16 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_per_seed_and_spreads_across_seeds() {
-        let cfg = config(7);
-        assert_eq!(reconnect_delay(&cfg, 3), reconnect_delay(&cfg, 3));
+        assert_eq!(reconnect_delay(7, 3), reconnect_delay(7, 3));
         // Distinct seeds must not collapse onto one schedule — that
         // would reintroduce the thundering herd the jitter prevents.
         let delays: std::collections::HashSet<Duration> =
-            (0..32u64).map(|s| reconnect_delay(&config(s), 1)).collect();
+            (0..32u64).map(|s| reconnect_delay(s, 1)).collect();
         assert!(
             delays.len() > 16,
             "only {} distinct first-attempt delays from 32 seeds",
             delays.len()
         );
-    }
-
-    #[test]
-    fn backoff_tolerates_degenerate_configs() {
-        let zero = ClientConfig {
-            reconnect_backoff: Duration::ZERO,
-            reconnect_backoff_cap: Duration::ZERO,
-            reconnect_jitter: -3.0,
-            jitter_seed: 0,
-            ..ClientConfig::default()
-        };
-        // Never panics, never returns an unbounded delay.
-        assert!(reconnect_delay(&zero, 1) <= Duration::from_millis(1));
-        assert!(reconnect_delay(&zero, 100) <= Duration::from_millis(1));
-        let wild = ClientConfig {
-            reconnect_jitter: 9.0,
-            ..config(3)
-        };
-        // Jitter is clamped to [0, 1].
-        assert!(reconnect_delay(&wild, 1) <= Duration::from_millis(50));
-    }
-
-    #[test]
-    fn default_configs_draw_distinct_jitter_seeds() {
-        let a = ClientConfig::default();
-        let b = ClientConfig::default();
-        assert_ne!(a.jitter_seed, b.jitter_seed);
+        assert_ne!(next_jitter_seed(), next_jitter_seed());
     }
 }

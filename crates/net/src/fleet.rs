@@ -31,10 +31,10 @@ use etsc_data::Dataset;
 use etsc_eval::faults::FaultPlan;
 use etsc_serve::StoredModel;
 
-use crate::client::ClientConfig;
 use crate::loadgen::{run_loadgen, LoadReport, LoadgenOptions};
-use crate::router::{Router, RouterConfig, RouterStats, ShardSnapshot};
-use crate::server::{NetServer, ServerConfig, ServerStats};
+use crate::options::{ClientBuilder, Endpoint, RouterBuilder, ServerBuilder};
+use crate::router::{Router, RouterStats, ShardSnapshot};
+use crate::server::{NetServer, ServerStats};
 
 /// Tuning knobs for [`run_fleet`].
 #[derive(Clone)]
@@ -52,12 +52,12 @@ pub struct FleetOptions {
     /// shard-level kinds (`kill-shard`, `blackhole-shard`,
     /// `slow-shard`) are applied to the fleet itself.
     pub faults: Option<FaultPlan>,
-    /// Template for every real shard's server config.
-    pub server: ServerConfig,
-    /// Router config.
-    pub router: RouterConfig,
-    /// Load-generator client config.
-    pub client: ClientConfig,
+    /// Template for every real shard's server.
+    pub server: ServerBuilder,
+    /// The router in front of the shards.
+    pub router: RouterBuilder,
+    /// The load generator's clients.
+    pub client: ClientBuilder,
     /// Budget for collecting outstanding decisions after the feed.
     pub wait_timeout: Duration,
 }
@@ -70,9 +70,9 @@ impl Default for FleetOptions {
             rate: 0.0,
             batch: 1,
             faults: None,
-            server: ServerConfig::default(),
-            router: RouterConfig::default(),
-            client: ClientConfig::default(),
+            server: ServerBuilder::new(),
+            router: RouterBuilder::new(),
+            client: ClientBuilder::new(),
             wait_timeout: Duration::from_secs(30),
         }
     }
@@ -197,31 +197,32 @@ pub fn run_fleet(models: &[Arc<StoredModel>], data: &Dataset, opts: &FleetOption
             shards.push(ShardHandle::Blackhole(hole));
             continue;
         }
-        let mut config = opts.server.clone();
         // Router conns (one upstream per shard each) + probes + drain.
-        config.max_connections = config.max_connections.max(opts.connections + 16);
+        let conns = opts.server.max_connections.max(opts.connections + 16);
+        let mut config = opts.server.clone().max_connections(conns);
         if plan.slow_shard == Some(i) {
-            config.faults = Some(FaultPlan {
+            let slow = FaultPlan {
                 seed: plan.seed,
                 delay_rate: 1.0,
                 delay: plan.slow_shard_delay,
                 ..FaultPlan::default()
-            });
-            config.fault_horizon = sessions;
+            };
+            config = config.faults(slow, sessions);
         }
         let server =
-            NetServer::bind(Arc::clone(model), "127.0.0.1:0", config).expect("bind shard server");
+            Endpoint::serve(Arc::clone(model), "127.0.0.1:0", config).expect("bind shard server");
         addrs.push(server.local_addr().to_string());
         shards.push(ShardHandle::Real(Arc::new(server)));
     }
 
     let router =
-        Arc::new(Router::bind("127.0.0.1:0", &addrs, opts.router.clone()).expect("bind router"));
+        Arc::new(Endpoint::route("127.0.0.1:0", &addrs, opts.router.clone()).expect("bind router"));
     wait_for_health(&router, &plan, models.len());
 
-    // The seeded shard kill: fire once the router has forwarded the
-    // plan's routed-row count, so the killed shard still holds
-    // undecided sessions when its sockets drop.
+    // The seeded shard kill: fire at the first poll where the router
+    // has forwarded the plan's routed-row count and the target shard
+    // still holds undecided sessions, so its death has sessions to
+    // migrate.
     let total_rows: u64 = (0..sessions)
         .map(|s| data.instance(s % data.len()).len() as u64)
         .sum();
@@ -243,7 +244,9 @@ pub fn run_fleet(models: &[Arc<StoredModel>], data: &Dataset, opts: &FleetOption
                     .name("etsc-fleet-killer".into())
                     .spawn(move || {
                         while !stop.load(Ordering::SeqCst) {
-                            if router.stats().rows_routed >= step {
+                            if router.stats().rows_routed >= step
+                                && router.shard_snapshots()[k].resident > 0
+                            {
                                 server.kill();
                                 fired.store(true, Ordering::SeqCst);
                                 return;

@@ -11,8 +11,9 @@
 //!   rev 1 adds client deadlines and priorities on open/observe and
 //!   retry classification with `retry_after_ms` hints on errors; rev 2
 //!   adds the pipelined batch frames (`ObserveBatch`/`DecisionBatch`)
-//!   — the minor revision is negotiated down to the common minimum at
-//!   `Hello`, so rev-0 and rev-1 peers still interoperate;
+//!   — the server negotiates down to a rev-0/rev-1 client's revision,
+//!   while this crate's client and router need a rev-2 server and
+//!   refuse an older one at `Hello`;
 //! * [`poll`] — a hand-rolled epoll readiness poller: level-triggered,
 //!   a self-pipe waker for cross-thread nudges, and reserved tokens
 //!   for the waker and listener;
@@ -48,11 +49,11 @@
 //!   router, driven by the load generator, with the seeded shard-level
 //!   faults (kill, blackhole, slow shard) the chaos suite asserts
 //!   against;
-//! * [`options`] — the embedding API: validated [`ServerBuilder`] /
-//!   [`ClientBuilder`] / [`RouterBuilder`] sharing a [`NetOptions`]
-//!   core, and [`Endpoint`] as the unified front door
-//!   (`serve`/`route`/`connect`/`fleet`). The flat-field config
-//!   structs remain the runtime representation behind the builders.
+//! * [`options`] — the embedding API: one validated builder per role
+//!   ([`ServerBuilder`] / [`ClientBuilder`] / [`RouterBuilder`]),
+//!   holding only the knobs something sets, and [`Endpoint`]
+//!   (`serve`/`route`/`connect`), the only way to start a server,
+//!   router or client.
 //!
 //! The paper's Figure 13 asks whether an algorithm's testing time per
 //! decision keeps up with the stream's observation frequency; this
@@ -69,10 +70,10 @@ pub mod proto;
 pub mod router;
 pub mod server;
 
-pub use client::{reconnect_delay, Client, ClientConfig, Decision, NetError};
+pub use client::{Client, Decision, NetError};
 pub use fleet::{run_fleet, FleetOptions, FleetReport, ShardReport};
 pub use loadgen::{run_loadgen, LoadReport, LoadgenOptions};
-pub use options::{ClientBuilder, ConfigError, Endpoint, NetOptions, RouterBuilder, ServerBuilder};
+pub use options::{ClientBuilder, ConfigError, Endpoint, RouterBuilder, ServerBuilder};
 pub use poll::{Event, Poller, WAKE_TOKEN};
 pub use proto::{
     encode_frame, encode_frame_into, write_frame, BatchDecision, BufferPool, DecisionKind,
@@ -80,5 +81,5 @@ pub use proto::{
     MAX_FRAME_BYTES, MAX_PENDING_FRAMES, PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, PROTO_MINOR,
     PROTO_VERSION,
 };
-pub use router::{Router, RouterConfig, RouterStats, ShardSnapshot};
-pub use server::{NetServer, ServerConfig, ServerStats};
+pub use router::{Router, RouterStats, ShardSnapshot};
+pub use server::{NetServer, ServerStats};

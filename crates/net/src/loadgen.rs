@@ -23,7 +23,8 @@ use etsc_data::Dataset;
 use etsc_eval::faults::{FaultPlan, FaultSchedule};
 use etsc_obs::Histogram;
 
-use crate::client::{Client, ClientConfig, NetError};
+use crate::client::{Client, NetError};
+use crate::options::{ClientBuilder, Endpoint};
 
 /// Tuning knobs for [`run_loadgen`].
 #[derive(Debug, Clone)]
@@ -42,8 +43,8 @@ pub struct LoadgenOptions {
     /// Seeded client-side network faults (torn frames, disconnects,
     /// slow-loris stalls), scheduled over all sessions.
     pub faults: Option<FaultPlan>,
-    /// Connection configuration.
-    pub client: ClientConfig,
+    /// The clients' knobs, one client per connection.
+    pub client: ClientBuilder,
     /// Budget for collecting outstanding decisions after the feed.
     pub wait_timeout: Duration,
     /// Sessions each connection keeps in flight at once (0 = every
@@ -69,7 +70,7 @@ impl Default for LoadgenOptions {
             rate: 0.0,
             batch: 1,
             faults: None,
-            client: ClientConfig::default(),
+            client: ClientBuilder::new(),
             wait_timeout: Duration::from_secs(30),
             open_ahead: 0,
             feedback: false,
@@ -284,7 +285,7 @@ fn feed_connection(
     schedule: Option<&FaultSchedule>,
 ) -> Partial {
     let mut p = Partial::default();
-    let mut client = match Client::connect(addr, opts.client.clone()) {
+    let mut client = match Endpoint::connect(addr, opts.client.clone()) {
         Ok(c) => c,
         Err(e) => {
             p.errors.push(format!("connect: {e}"));
@@ -656,8 +657,8 @@ fn feed_windowed(
 }
 
 /// Opens a throwaway connection to request and await the drain.
-fn drain_server(addr: &str, config: &ClientConfig, timeout: Duration) -> Result<(), NetError> {
-    let mut client = Client::connect(addr, config.clone())?;
+fn drain_server(addr: &str, config: &ClientBuilder, timeout: Duration) -> Result<(), NetError> {
+    let mut client = Endpoint::connect(addr, config.clone())?;
     client.shutdown_server()?;
     client.wait_drain(timeout)
 }

@@ -41,15 +41,15 @@ pub const PROTO_VERSION: u32 = 1;
 /// Minor protocol revision, advertised in [`Frame::Hello`] as an
 /// optional trailing field. Minor revisions only *append* optional
 /// fields to existing frames or add new frame types that are only sent
-/// once both sides advertised support — peers never refuse on a minor
-/// mismatch, they just ignore extensions they don't understand.
-/// Revision 1 adds deadline/priority propagation on
-/// `OpenSession`/`Observe` and retry classification on `Error`.
-/// Revision 2 adds the pipelined [`Frame::ObserveBatch`] /
-/// [`Frame::DecisionBatch`] frames, used only when
-/// `min(client minor, server minor) >= 2` — a rev-0/rev-1 peer never
-/// sees a batch frame, and one arriving anyway is answered with a
-/// structured [`ErrorCode::BadFrame`] reply, not a teardown.
+/// once both sides advertised support. Revision 1 adds deadline/priority
+/// propagation on `OpenSession`/`Observe` and retry classification on
+/// `Error`. Revision 2 adds the pipelined [`Frame::ObserveBatch`] /
+/// [`Frame::DecisionBatch`] frames. A server settles on
+/// `min(client minor, server minor)`, so a rev-0/rev-1 client never
+/// sees a batch frame, and one arriving from it anyway is answered with
+/// a structured [`ErrorCode::BadFrame`] reply, not a teardown. This
+/// crate's client and router need a server at [`BATCH_MINOR`] or later
+/// and refuse an older one with [`ProtoError::MinorRevision`].
 pub const PROTO_MINOR: u32 = 2;
 
 /// Lowest minor revision at which the batch frames
@@ -68,9 +68,10 @@ pub const PRIORITY_HIGH: u8 = 2;
 /// Bytes of wire framing before the payload: `len: u32` + `crc: u64`.
 pub const HEADER_BYTES: usize = 12;
 
-/// Default ceiling on a single frame's payload size. Generous for any
-/// realistic observation row (a 256 KiB frame holds a 32k-variable
-/// row) while bounding what one peer can make the other allocate.
+/// Ceiling on a single frame's payload size, in both directions, for
+/// the server, router and client alike. Generous for any realistic
+/// observation row (a 256 KiB frame holds a 32k-variable row) while
+/// bounding what one peer can make the other allocate.
 pub const MAX_FRAME_BYTES: usize = 256 * 1024;
 
 /// Default ceiling on encoded frames queued for write on one
@@ -1203,6 +1204,14 @@ pub enum ProtoError {
         /// Version this end speaks.
         want: u32,
     },
+    /// The server's handshake announced a minor revision older than
+    /// this end needs.
+    MinorRevision {
+        /// Minor revision the server announced.
+        got: u32,
+        /// Lowest minor revision this end speaks.
+        min: u32,
+    },
     /// The connection is gone (clean close where a frame was needed).
     Closed,
 }
@@ -1227,6 +1236,10 @@ impl fmt::Display for ProtoError {
             ProtoError::Version { got, want } => {
                 write!(f, "peer speaks protocol v{got}, this end v{want}")
             }
+            ProtoError::MinorRevision { got, min } => write!(
+                f,
+                "server speaks minor revision {got}, this end needs at least {min}"
+            ),
             ProtoError::Closed => f.write_str("connection closed"),
         }
     }

@@ -25,20 +25,21 @@
 //! count reaches zero the prober tells those shards to drain.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use etsc_obs::Obs;
+use etsc_obs::{Counter, MetricsRegistry};
 
-use crate::client::{dial, splitmix64, ClientConfig};
+use crate::client::{dial, splitmix64, NetError};
+use crate::options::RouterBuilder;
 use crate::poll::{Event, Poller, WAKE_TOKEN};
 use crate::proto::{
-    write_frame, ErrorCode, Frame, FrameDecoder, ModelInfo, ProtoError, BATCH_MINOR,
-    MAX_FRAME_BYTES, PROTO_VERSION,
+    write_frame, ErrorCode, Frame, FrameDecoder, ModelInfo, ProtoError, MAX_FRAME_BYTES,
+    PROTO_VERSION,
 };
 
 /// Poller token for the socket a connection thread serves (client side)
@@ -50,55 +51,33 @@ const CLIENT_TOKEN: u64 = 0;
 /// wakeup must not hang a thread forever.
 const READ_BACKSTOP: Duration = Duration::from_millis(100);
 
-/// Tuning knobs for [`Router`]. Prefer building this through
-/// [`crate::RouterBuilder`], which validates the combination.
-#[derive(Clone)]
-pub struct RouterConfig {
-    /// Peer identification the router sends to shards.
-    pub agent: String,
-    /// Concurrent client connections before accept-time shedding.
-    pub max_connections: usize,
-    /// Per-frame payload ceiling (both directions).
-    pub max_frame_bytes: usize,
-    /// Silence budget per client connection.
-    pub idle_timeout: Duration,
-    /// Budget for collecting shard drain verdicts during a router
-    /// drain before leftover sessions are failed with attribution.
-    pub drain_timeout: Duration,
-    /// Cadence of the health prober's `Hello` dials.
-    pub probe_interval: Duration,
-    /// Handshake budget per probe.
-    pub probe_timeout: Duration,
-    /// Consecutive failures before a shard's breaker opens.
-    pub breaker_threshold: u32,
-    /// First open interval; doubles per failed half-open probe.
-    pub breaker_backoff: Duration,
-    /// Ceiling on the breaker's exponential backoff.
-    pub breaker_backoff_cap: Duration,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
-    /// Tracing + metrics sink.
-    pub obs: Obs,
-}
+/// Peer identification the router sends to shards; its health probes
+/// announce themselves as [`PROBE_AGENT`].
+const AGENT: &str = "etsc-router";
 
-impl Default for RouterConfig {
-    fn default() -> RouterConfig {
-        RouterConfig {
-            agent: "etsc-router".to_string(),
-            max_connections: 64,
-            max_frame_bytes: MAX_FRAME_BYTES,
-            idle_timeout: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(10),
-            probe_interval: Duration::from_millis(200),
-            probe_timeout: Duration::from_millis(500),
-            breaker_threshold: 2,
-            breaker_backoff: Duration::from_millis(100),
-            breaker_backoff_cap: Duration::from_secs(2),
-            vnodes: 64,
-            obs: Obs::disabled(),
-        }
-    }
-}
+/// Peer identification of the health prober's dials.
+const PROBE_AGENT: &str = "etsc-router-probe";
+
+/// Handshake budget of an upstream session connection.
+const UPSTREAM_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Silence budget per client connection.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Budget for collecting shard drain verdicts during a router drain
+/// before leftover sessions are failed with attribution.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Consecutive failures before a shard's breaker opens.
+const BREAKER_THRESHOLD: u32 = 2;
+
+/// First open interval of a tripped breaker; doubles per failed
+/// half-open probe, up to [`BREAKER_BACKOFF_CAP`]. Also the placement
+/// pause after an overload signal that carried no hint.
+const BREAKER_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Ceiling on the breaker's exponential backoff.
+const BREAKER_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Monotonic counters snapshotted by [`Router::stats`] and returned by
 /// [`Router::join`].
@@ -178,58 +157,86 @@ impl RouterStats {
     }
 }
 
-#[derive(Default)]
-struct Cells {
-    connections_accepted: AtomicU64,
-    connections_shed: AtomicU64,
-    connections_closed: AtomicU64,
-    sessions_opened: AtomicU64,
-    sessions_resumed: AtomicU64,
-    sessions_decided: AtomicU64,
-    sessions_failed: AtomicU64,
-    sessions_abandoned: AtomicU64,
-    sessions_migrated: AtomicU64,
-    handoffs_sent: AtomicU64,
-    rows_routed: AtomicU64,
-    shard_failures: AtomicU64,
-    shard_overloads: AtomicU64,
-    sessions_requeued: AtomicU64,
-    shard_recoveries: AtomicU64,
-    planned_drains: AtomicU64,
-    probes_sent: AtomicU64,
-    shards_retired: AtomicU64,
-    failovers: AtomicU64,
-    failover_ns_total: AtomicU64,
-    feedback_routed: AtomicU64,
-    generation_changes: AtomicU64,
+/// Every router counter, resolved once at bind: each cell is the one
+/// the metrics registry renders and [`Router::stats`] reads.
+struct Counters {
+    connections_accepted: Counter,
+    connections_shed: Counter,
+    connections_closed: Counter,
+    sessions_opened: Counter,
+    sessions_resumed: Counter,
+    sessions_decided: Counter,
+    sessions_failed: Counter,
+    sessions_abandoned: Counter,
+    sessions_migrated: Counter,
+    handoffs_sent: Counter,
+    rows_routed: Counter,
+    shard_failures: Counter,
+    shard_overloads: Counter,
+    sessions_requeued: Counter,
+    shard_recoveries: Counter,
+    planned_drains: Counter,
+    probes_sent: Counter,
+    shards_retired: Counter,
+    failovers: Counter,
+    failover_ns_total: Counter,
+    feedback_routed: Counter,
+    generation_changes: Counter,
 }
 
-impl Cells {
+impl Counters {
+    fn resolve(metrics: &MetricsRegistry) -> Counters {
+        Counters {
+            connections_accepted: metrics.live_counter("router_connections_total"),
+            connections_shed: metrics.live_counter("router_connections_shed_total"),
+            connections_closed: metrics.live_counter("router_connections_closed_total"),
+            sessions_opened: metrics.live_counter("router_sessions_opened_total"),
+            sessions_resumed: metrics.live_counter("router_sessions_resumed_total"),
+            sessions_decided: metrics.live_counter("router_sessions_decided_total"),
+            sessions_failed: metrics.live_counter("router_sessions_failed_total"),
+            sessions_abandoned: metrics.live_counter("router_sessions_abandoned_total"),
+            sessions_migrated: metrics.live_counter("router_sessions_migrated_total"),
+            handoffs_sent: metrics.live_counter("router_handoffs_total"),
+            rows_routed: metrics.live_counter("router_rows_routed_total"),
+            shard_failures: metrics.live_counter("router_shard_failures_total"),
+            shard_overloads: metrics.live_counter("router_shard_overloads_total"),
+            sessions_requeued: metrics.live_counter("router_sessions_requeued_total"),
+            shard_recoveries: metrics.live_counter("router_shard_recoveries_total"),
+            planned_drains: metrics.live_counter("router_planned_drains_total"),
+            probes_sent: metrics.live_counter("router_probes_total"),
+            shards_retired: metrics.live_counter("router_shards_retired_total"),
+            failovers: metrics.live_counter("router_failovers_total"),
+            // Kept out of the registry, which has `router_failover_seconds`.
+            failover_ns_total: Counter::standalone(),
+            feedback_routed: metrics.live_counter("router_feedback_routed_total"),
+            generation_changes: metrics.live_counter("router_generation_changes_total"),
+        }
+    }
+
     fn snapshot(&self) -> RouterStats {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         RouterStats {
-            connections_accepted: get(&self.connections_accepted),
-            connections_shed: get(&self.connections_shed),
-            connections_closed: get(&self.connections_closed),
-            sessions_opened: get(&self.sessions_opened),
-            sessions_resumed: get(&self.sessions_resumed),
-            sessions_decided: get(&self.sessions_decided),
-            sessions_failed: get(&self.sessions_failed),
-            sessions_abandoned: get(&self.sessions_abandoned),
-            sessions_migrated: get(&self.sessions_migrated),
-            handoffs_sent: get(&self.handoffs_sent),
-            rows_routed: get(&self.rows_routed),
-            shard_failures: get(&self.shard_failures),
-            shard_overloads: get(&self.shard_overloads),
-            sessions_requeued: get(&self.sessions_requeued),
-            shard_recoveries: get(&self.shard_recoveries),
-            planned_drains: get(&self.planned_drains),
-            probes_sent: get(&self.probes_sent),
-            shards_retired: get(&self.shards_retired),
-            failovers: get(&self.failovers),
-            failover_ns_total: get(&self.failover_ns_total),
-            feedback_routed: get(&self.feedback_routed),
-            generation_changes: get(&self.generation_changes),
+            connections_accepted: self.connections_accepted.get(),
+            connections_shed: self.connections_shed.get(),
+            connections_closed: self.connections_closed.get(),
+            sessions_opened: self.sessions_opened.get(),
+            sessions_resumed: self.sessions_resumed.get(),
+            sessions_decided: self.sessions_decided.get(),
+            sessions_failed: self.sessions_failed.get(),
+            sessions_abandoned: self.sessions_abandoned.get(),
+            sessions_migrated: self.sessions_migrated.get(),
+            handoffs_sent: self.handoffs_sent.get(),
+            rows_routed: self.rows_routed.get(),
+            shard_failures: self.shard_failures.get(),
+            shard_overloads: self.shard_overloads.get(),
+            sessions_requeued: self.sessions_requeued.get(),
+            shard_recoveries: self.shard_recoveries.get(),
+            planned_drains: self.planned_drains.get(),
+            probes_sent: self.probes_sent.get(),
+            shards_retired: self.shards_retired.get(),
+            failovers: self.failovers.get(),
+            failover_ns_total: self.failover_ns_total.get(),
+            feedback_routed: self.feedback_routed.get(),
+            generation_changes: self.generation_changes.get(),
         }
     }
 }
@@ -276,13 +283,13 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(addr: String, backoff: Duration) -> Shard {
+    fn new(addr: String) -> Shard {
         Shard {
             addr,
             state: Mutex::new(ShardState {
                 circuit: Circuit::Closed,
                 failures: 0,
-                backoff,
+                backoff: BREAKER_BACKOFF,
                 draining: false,
                 cool_until: None,
             }),
@@ -298,19 +305,19 @@ impl Shard {
 
     /// Records one failure; returns `true` when this trips (or
     /// re-trips) the breaker.
-    fn record_failure(&self, config: &RouterConfig) -> bool {
+    fn record_failure(&self) -> bool {
         let mut st = self.lock();
         st.failures = st.failures.saturating_add(1);
         match st.circuit {
-            Circuit::Closed if st.failures >= config.breaker_threshold => {
-                st.backoff = config.breaker_backoff;
+            Circuit::Closed if st.failures >= BREAKER_THRESHOLD => {
+                st.backoff = BREAKER_BACKOFF;
                 st.circuit = Circuit::Open {
                     until: Instant::now() + st.backoff,
                 };
                 true
             }
             Circuit::HalfOpen => {
-                st.backoff = (st.backoff * 2).min(config.breaker_backoff_cap);
+                st.backoff = (st.backoff * 2).min(BREAKER_BACKOFF_CAP);
                 st.circuit = Circuit::Open {
                     until: Instant::now() + st.backoff,
                 };
@@ -322,12 +329,12 @@ impl Shard {
 
     /// Records one success; returns `true` when this closed a tripped
     /// breaker (a recovery).
-    fn record_success(&self, config: &RouterConfig) -> bool {
+    fn record_success(&self) -> bool {
         let mut st = self.lock();
         let recovered = st.circuit != Circuit::Closed;
         st.circuit = Circuit::Closed;
         st.failures = 0;
-        st.backoff = config.breaker_backoff;
+        st.backoff = BREAKER_BACKOFF;
         recovered
     }
 
@@ -417,12 +424,12 @@ struct Pool {
 }
 
 impl Pool {
-    fn new(generation: u64, addrs: &[String], config: &RouterConfig) -> Pool {
+    fn new(generation: u64, addrs: &[String], vnodes: usize) -> Pool {
         let shards: Vec<Arc<Shard>> = addrs
             .iter()
-            .map(|a| Arc::new(Shard::new(a.clone(), config.breaker_backoff)))
+            .map(|a| Arc::new(Shard::new(a.clone())))
             .collect();
-        let vnodes = config.vnodes.max(1) as u64;
+        let vnodes = vnodes.max(1) as u64;
         let mut ring = Vec::with_capacity(shards.len() * vnodes as usize);
         for (idx, shard) in shards.iter().enumerate() {
             let base = hash_str(&shard.addr);
@@ -475,17 +482,13 @@ struct RetiredPool {
 // ---------------------------------------------------------------------
 
 struct RouterShared {
-    config: RouterConfig,
-    /// Config for upstream session connections.
-    upstream_cfg: ClientConfig,
-    /// Config for health probes (tighter handshake budget).
-    probe_cfg: ClientConfig,
+    config: RouterBuilder,
     pool: RwLock<Arc<Pool>>,
     retired: Mutex<Vec<RetiredPool>>,
     meta: Mutex<Option<ModelInfo>>,
     draining: AtomicBool,
     generation: AtomicU64,
-    stats: Cells,
+    stats: Counters,
     serve_span: Option<u64>,
     /// Wakes the accept loop's poller so a drain interrupts its wait.
     accept_waker: Arc<Poller>,
@@ -495,11 +498,6 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn count(&self, cell: impl Fn(&Cells) -> &AtomicU64, metric: &str) {
-        cell(&self.stats).fetch_add(1, Ordering::Relaxed);
-        self.config.obs.metrics.counter(metric).inc();
-    }
-
     fn current_pool(&self) -> Arc<Pool> {
         Arc::clone(&self.pool.read().unwrap_or_else(|e| e.into_inner()))
     }
@@ -519,7 +517,7 @@ impl RouterShared {
                 let from = old.generation;
                 *guard = Some(meta.clone());
                 drop(guard);
-                self.count(|s| &s.generation_changes, "router_generation_changes_total");
+                self.stats.generation_changes.inc();
                 self.config
                     .obs
                     .metrics
@@ -538,6 +536,11 @@ impl RouterShared {
         }
     }
 
+    /// A health-probe dial: the handshake under the probe budget.
+    fn probe(&self, addr: &str) -> Result<(TcpStream, FrameDecoder, ModelInfo), NetError> {
+        dial(addr, PROBE_AGENT, self.config.probe_timeout)
+    }
+
     /// The served model's shape, dialling a shard for it if no probe
     /// has cached one yet.
     fn fetch_meta(&self) -> Option<ModelInfo> {
@@ -549,7 +552,7 @@ impl RouterShared {
             if !shard.placeable(1) {
                 continue;
             }
-            if let Ok((_stream, _dec, meta, _minor)) = dial(&shard.addr, &self.probe_cfg) {
+            if let Ok((_stream, _dec, meta)) = self.probe(&shard.addr) {
                 self.cache_meta(&meta);
                 return Some(meta);
             }
@@ -570,14 +573,13 @@ pub struct Router {
 
 impl Router {
     /// Binds `addr` (port 0 for ephemeral) and starts routing sessions
-    /// across `shards` (backend addresses) on background threads.
-    ///
-    /// # Errors
-    /// `std::io::Error` when the address cannot be bound.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
+    /// across `shards` (backend addresses) on background threads;
+    /// reached through [`crate::Endpoint::route`], which validates
+    /// `config`.
+    pub(crate) fn bind(
+        addr: &str,
         shards: &[String],
-        config: RouterConfig,
+        config: RouterBuilder,
     ) -> std::io::Result<Router> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -586,30 +588,16 @@ impl Router {
         span.attr("addr", &addr.to_string());
         span.attr("shards", &shards.len().to_string());
         let serve_span = span.id();
-        let upstream_cfg = ClientConfig {
-            agent: config.agent.clone(),
-            max_frame_bytes: config.max_frame_bytes,
-            handshake_timeout: Duration::from_secs(5),
-            ..ClientConfig::default()
-        };
-        let probe_cfg = ClientConfig {
-            agent: format!("{}-probe", config.agent),
-            max_frame_bytes: config.max_frame_bytes,
-            handshake_timeout: config.probe_timeout,
-            ..ClientConfig::default()
-        };
-        let pool = Arc::new(Pool::new(1, shards, &config));
+        let pool = Arc::new(Pool::new(1, shards, config.vnodes));
         let accept_waker = Arc::new(Poller::new()?);
         let shared = Arc::new(RouterShared {
+            stats: Counters::resolve(&config.obs.metrics),
             config,
-            upstream_cfg,
-            probe_cfg,
             pool: RwLock::new(pool),
             retired: Mutex::new(Vec::new()),
             meta: Mutex::new(None),
             draining: AtomicBool::new(false),
             generation: AtomicU64::new(1),
-            stats: Cells::default(),
             serve_span,
             accept_waker,
             prober_park: (Mutex::new(()), Condvar::new()),
@@ -678,7 +666,7 @@ impl Router {
     /// to drain once its resident count reaches zero.
     pub fn swap(&self, shards: &[String]) {
         let generation = self.shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let new_pool = Arc::new(Pool::new(generation, shards, &self.shared.config));
+        let new_pool = Arc::new(Pool::new(generation, shards, self.shared.config.vnodes));
         let old = {
             let mut guard = self.shared.pool.write().unwrap_or_else(|e| e.into_inner());
             std::mem::replace(&mut *guard, new_pool)
@@ -768,19 +756,19 @@ fn accept_loop(
                 Ok((stream, peer)) => {
                     let _ = stream.set_nonblocking(false);
                     if active.load(Ordering::SeqCst) >= shared.config.max_connections as u64 {
-                        shared.count(|s| &s.connections_shed, "router_connections_shed_total");
+                        shared.stats.connections_shed.inc();
                         let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
                         let mut stream = stream;
                         let _ = write_frame(
                             &mut stream,
                             &Frame::error(ErrorCode::Overloaded, None, "router connection cap"),
-                            shared.config.max_frame_bytes,
+                            MAX_FRAME_BYTES,
                         );
                         continue;
                     }
                     conn_seq += 1;
                     let conn_id = conn_seq;
-                    shared.count(|s| &s.connections_accepted, "router_connections_total");
+                    shared.stats.connections_accepted.inc();
                     shared.config.obs.tracer.event_under(
                         "router.conn.accept",
                         shared.serve_span,
@@ -808,10 +796,7 @@ fn accept_loop(
                             // Thread exhaustion: the closure (and the socket
                             // inside it) is gone, so just undo the accounting.
                             active.fetch_sub(1, Ordering::SeqCst);
-                            shared.count(
-                                |s| &s.connections_closed,
-                                "router_connections_closed_total",
-                            );
+                            shared.stats.connections_closed.inc();
                         }
                     }
                 }
@@ -838,12 +823,12 @@ fn prober_loop(shared: &Arc<RouterShared>) {
             if !shard.probe_due() {
                 continue;
             }
-            shared.count(|s| &s.probes_sent, "router_probes_total");
-            match dial(&shard.addr, &shared.probe_cfg) {
-                Ok((_stream, _dec, meta, _minor)) => {
+            shared.stats.probes_sent.inc();
+            match shared.probe(&shard.addr) {
+                Ok((_stream, _dec, meta)) => {
                     shared.cache_meta(&meta);
-                    if shard.record_success(&shared.config) {
-                        shared.count(|s| &s.shard_recoveries, "router_shard_recoveries_total");
+                    if shard.record_success() {
+                        shared.stats.shard_recoveries.inc();
                         shared.config.obs.tracer.event_under(
                             "router.shard.recover",
                             shared.serve_span,
@@ -858,8 +843,8 @@ fn prober_loop(shared: &Arc<RouterShared>) {
                     if shard.lock().draining {
                         continue;
                     }
-                    shared.count(|s| &s.shard_failures, "router_shard_failures_total");
-                    if shard.record_failure(&shared.config) {
+                    shared.stats.shard_failures.inc();
+                    if shard.record_failure() {
                         shared.config.obs.tracer.event_under(
                             "router.shard.trip",
                             shared.serve_span,
@@ -895,10 +880,10 @@ fn retire_idle_generations(shared: &RouterShared) {
             continue;
         }
         for shard in &rp.pool.shards {
-            if let Ok((mut stream, _dec, _meta, _minor)) = dial(&shard.addr, &shared.probe_cfg) {
-                let _ = write_frame(&mut stream, &Frame::Shutdown, shared.config.max_frame_bytes);
+            if let Ok((mut stream, _dec, _meta)) = shared.probe(&shard.addr) {
+                let _ = write_frame(&mut stream, &Frame::Shutdown, MAX_FRAME_BYTES);
             }
-            shared.count(|s| &s.shards_retired, "router_shards_retired_total");
+            shared.stats.shards_retired.inc();
             shared.config.obs.tracer.event_under(
                 "router.shard.retire",
                 shared.serve_span,
@@ -926,9 +911,6 @@ struct Upstream {
     planned: bool,
     /// This connection's token on the conn thread's poller.
     token: u64,
-    /// Minor revision negotiated with the shard; observation batches
-    /// forward as batches only at [`BATCH_MINOR`] and above.
-    minor: u32,
 }
 
 /// One routed client session.
@@ -983,7 +965,7 @@ fn connection_thread(shared: &Arc<RouterShared>, stream: TcpStream, conn_id: u64
     let _ = stream.set_read_timeout(Some(READ_BACKSTOP));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let Ok(poller) = Poller::new() else {
-        shared.count(|s| &s.connections_closed, "router_connections_closed_total");
+        shared.stats.connections_closed.inc();
         return;
     };
     let mut conn = RouterConn {
@@ -1002,7 +984,7 @@ fn connection_thread(shared: &Arc<RouterShared>, stream: TcpStream, conn_id: u64
     };
     let reason = conn.serve();
     let abandoned = conn.abandon_all();
-    shared.count(|s| &s.connections_closed, "router_connections_closed_total");
+    shared.stats.connections_closed.inc();
     shared.config.obs.tracer.event_under(
         "router.conn.close",
         shared.serve_span,
@@ -1016,7 +998,7 @@ fn connection_thread(shared: &Arc<RouterShared>, stream: TcpStream, conn_id: u64
 
 impl<'r> RouterConn<'r> {
     fn serve(&mut self) -> &'static str {
-        let mut dec = FrameDecoder::new(self.shared.config.max_frame_bytes);
+        let mut dec = FrameDecoder::new(MAX_FRAME_BYTES);
         let mut last_activity = Instant::now();
         if self
             .poller
@@ -1048,20 +1030,17 @@ impl<'r> RouterConn<'r> {
                     }
                 }
             }
-            if last_activity.elapsed() > self.shared.config.idle_timeout {
+            if last_activity.elapsed() > IDLE_TIMEOUT {
                 self.send_client(&Frame::error(
                     ErrorCode::IdleTimeout,
                     None,
-                    format!("no frames for {:?}", self.shared.config.idle_timeout),
+                    format!("no frames for {IDLE_TIMEOUT:?}"),
                 ));
                 return "idle-timeout";
             }
             // Capped so the drain flag (set by another thread with no
             // handle on this poller) is noticed promptly.
-            let budget = self
-                .shared
-                .config
-                .idle_timeout
+            let budget = IDLE_TIMEOUT
                 .saturating_sub(last_activity.elapsed())
                 .min(Duration::from_millis(50))
                 .max(Duration::from_millis(1));
@@ -1114,7 +1093,7 @@ impl<'r> RouterConn<'r> {
                         ));
                         return Flow::Fatal("no-shard");
                     };
-                    self.send_client(&Frame::hello(self.shared.config.agent.clone(), Some(meta)));
+                    self.send_client(&Frame::hello(AGENT, Some(meta)));
                 }
                 Flow::Continue
             }
@@ -1151,8 +1130,7 @@ impl<'r> RouterConn<'r> {
                 if let Some(routed) = self.sessions.remove(&session) {
                     self.finished.insert(session);
                     routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
-                    self.shared
-                        .count(|s| &s.sessions_abandoned, "router_sessions_abandoned_total");
+                    self.shared.stats.sessions_abandoned.inc();
                     let addr = routed.addr.clone();
                     if self
                         .send_upstream(&addr, &Frame::CloseSession { session })
@@ -1222,8 +1200,7 @@ impl<'r> RouterConn<'r> {
                 Some(id),
                 "no healthy shard available",
             ));
-            self.shared
-                .count(|s| &s.sessions_failed, "router_sessions_failed_total");
+            self.shared.stats.sessions_failed.inc();
             self.finished.insert(id);
             return;
         };
@@ -1235,8 +1212,7 @@ impl<'r> RouterConn<'r> {
                 Some(id),
                 "no healthy shard available",
             ));
-            self.shared
-                .count(|s| &s.sessions_failed, "router_sessions_failed_total");
+            self.shared.stats.sessions_failed.inc();
             self.finished.insert(id);
             return;
         };
@@ -1257,11 +1233,9 @@ impl<'r> RouterConn<'r> {
             },
         );
         if resume {
-            self.shared
-                .count(|s| &s.sessions_resumed, "router_sessions_resumed_total");
+            self.shared.stats.sessions_resumed.inc();
         } else {
-            self.shared
-                .count(|s| &s.sessions_opened, "router_sessions_opened_total");
+            self.shared.stats.sessions_opened.inc();
         }
         if self
             .send_upstream(
@@ -1297,8 +1271,7 @@ impl<'r> RouterConn<'r> {
         };
         routed.rows.push((deadline_ms, row.clone()));
         let addr = routed.addr.clone();
-        self.shared
-            .count(|s| &s.rows_routed, "router_rows_routed_total");
+        self.shared.stats.rows_routed.inc();
         if self
             .send_upstream(
                 &addr,
@@ -1317,8 +1290,7 @@ impl<'r> RouterConn<'r> {
 
     /// Forwards a client observation batch: recorded row by row in the
     /// migration buffer (replay is always per-row), then sent upstream
-    /// as one batch when the shard negotiated rev [`BATCH_MINOR`], or
-    /// translated into singles for an older shard.
+    /// as one batch.
     fn observe_batch(
         &mut self,
         session: u64,
@@ -1341,49 +1313,16 @@ impl<'r> RouterConn<'r> {
             routed.rows.push((deadline_ms, row.clone()));
         }
         let addr = routed.addr.clone();
-        let n = rows.len() as u64;
-        self.shared
-            .stats
-            .rows_routed
-            .fetch_add(n, Ordering::Relaxed);
-        self.shared
-            .config
-            .obs
-            .metrics
-            .counter("router_rows_routed_total")
-            .add(n);
-        let batched = self
-            .upstreams
-            .get(&addr)
-            .is_some_and(|u| u.minor >= BATCH_MINOR);
-        let sent = if batched {
-            self.send_upstream(
-                &addr,
-                &Frame::ObserveBatch {
-                    session,
-                    start_step,
-                    rows,
-                    deadline_ms,
-                },
-            )
-        } else {
-            let mut sent = Ok(());
-            for (i, row) in rows.iter().enumerate() {
-                sent = self.send_upstream(
-                    &addr,
-                    &Frame::Observe {
-                        session,
-                        step: start_step + i as u64,
-                        row: row.clone(),
-                        deadline_ms,
-                    },
-                );
-                if sent.is_err() {
-                    break;
-                }
-            }
-            sent
-        };
+        self.shared.stats.rows_routed.add(rows.len() as u64);
+        let sent = self.send_upstream(
+            &addr,
+            &Frame::ObserveBatch {
+                session,
+                start_step,
+                rows,
+                deadline_ms,
+            },
+        );
         if sent.is_err() {
             self.upstream_dead(&addr);
         }
@@ -1414,8 +1353,7 @@ impl<'r> RouterConn<'r> {
             ));
             return;
         }
-        self.shared
-            .count(|s| &s.feedback_routed, "router_feedback_routed_total");
+        self.shared.stats.feedback_routed.inc();
     }
 
     /// Ring placement + upstream dial, excluding and breaker-penalising
@@ -1440,8 +1378,8 @@ impl<'r> RouterConn<'r> {
             if self.upstreams.contains_key(&addr) {
                 return Some(addr);
             }
-            match dial(&addr, &self.shared.upstream_cfg) {
-                Ok((stream, dec, meta, minor)) => {
+            match dial(&addr, AGENT, UPSTREAM_HANDSHAKE_TIMEOUT) {
+                Ok((stream, dec, meta)) => {
                     let _ = stream.set_read_timeout(Some(READ_BACKSTOP));
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
                     self.shared.cache_meta(&meta);
@@ -1453,16 +1391,14 @@ impl<'r> RouterConn<'r> {
                     {
                         // Treated like a failed dial: the socket is
                         // useless if its replies cannot wake us.
-                        self.shared
-                            .count(|s| &s.shard_failures, "router_shard_failures_total");
-                        shard.record_failure(&self.shared.config);
+                        self.shared.stats.shard_failures.inc();
+                        shard.record_failure();
                         exclude.insert(addr);
                         continue;
                     }
                     self.next_token += 1;
-                    if shard.record_success(&self.shared.config) {
-                        self.shared
-                            .count(|s| &s.shard_recoveries, "router_shard_recoveries_total");
+                    if shard.record_success() {
+                        self.shared.stats.shard_recoveries.inc();
                     }
                     self.tokens.insert(token, addr.clone());
                     self.upstreams.insert(
@@ -1473,15 +1409,13 @@ impl<'r> RouterConn<'r> {
                             shard,
                             planned: false,
                             token,
-                            minor,
                         },
                     );
                     return Some(addr);
                 }
                 Err(_) => {
-                    self.shared
-                        .count(|s| &s.shard_failures, "router_shard_failures_total");
-                    shard.record_failure(&self.shared.config);
+                    self.shared.stats.shard_failures.inc();
+                    shard.record_failure();
                     exclude.insert(addr);
                 }
             }
@@ -1489,7 +1423,7 @@ impl<'r> RouterConn<'r> {
     }
 
     fn send_upstream(&mut self, addr: &str, frame: &Frame) -> Result<(), ()> {
-        let max = self.shared.config.max_frame_bytes;
+        let max = MAX_FRAME_BYTES;
         let Some(up) = self.upstreams.get_mut(addr) else {
             return Err(());
         };
@@ -1498,7 +1432,7 @@ impl<'r> RouterConn<'r> {
 
     fn send_client(&mut self, frame: &Frame) {
         // Best-effort: a dead client surfaces as EOF on the next read.
-        let max = self.shared.config.max_frame_bytes;
+        let max = MAX_FRAME_BYTES;
         let _ = write_frame(&mut self.client, frame, max);
     }
 
@@ -1579,8 +1513,7 @@ impl<'r> RouterConn<'r> {
         }
         self.decided_addr.insert(session, addr.to_string());
         self.decided_order.push_back(session);
-        self.shared
-            .count(|s| &s.sessions_decided, "router_sessions_decided_total");
+        self.shared.stats.sessions_decided.inc();
         self.send_client(&frame);
     }
 
@@ -1626,8 +1559,7 @@ impl<'r> RouterConn<'r> {
                         routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
                     }
                     self.finished.insert(id);
-                    self.shared
-                        .count(|s| &s.sessions_failed, "router_sessions_failed_total");
+                    self.shared.stats.sessions_failed.inc();
                     self.send_client(&frame);
                 }
             }
@@ -1649,8 +1581,7 @@ impl<'r> RouterConn<'r> {
                         // closing listener were noise, not ill health.
                         st.failures = 0;
                         drop(st);
-                        self.shared
-                            .count(|s| &s.planned_drains, "router_planned_drains_total");
+                        self.shared.stats.planned_drains.inc();
                     }
                 }
             }
@@ -1672,12 +1603,11 @@ impl<'r> RouterConn<'r> {
                     let hint = retry
                         .retry_after()
                         .filter(|d| !d.is_zero())
-                        .unwrap_or(self.shared.config.breaker_backoff);
+                        .unwrap_or(BREAKER_BACKOFF);
                     if let Some(up) = self.upstreams.get(addr) {
                         up.shard.cool(hint);
                     }
-                    self.shared
-                        .count(|s| &s.shard_overloads, "router_shard_overloads_total");
+                    self.shared.stats.shard_overloads.inc();
                     self.shared.config.obs.tracer.event_under(
                         "router.shard.overload",
                         self.shared.serve_span,
@@ -1711,9 +1641,8 @@ impl<'r> RouterConn<'r> {
         self.tokens.remove(&up.token);
         let planned = up.planned;
         if !planned {
-            self.shared
-                .count(|s| &s.shard_failures, "router_shard_failures_total");
-            if up.shard.record_failure(&self.shared.config) {
+            self.shared.stats.shard_failures.inc();
+            if up.shard.record_failure() {
                 self.shared.config.obs.tracer.event_under(
                     "router.shard.trip",
                     self.shared.serve_span,
@@ -1764,9 +1693,8 @@ impl<'r> RouterConn<'r> {
                         let _ = self.poller.deregister(bad.stream.as_raw_fd());
                         self.tokens.remove(&bad.token);
                         if !bad.planned {
-                            self.shared
-                                .count(|s| &s.shard_failures, "router_shard_failures_total");
-                            bad.shard.record_failure(&self.shared.config);
+                            self.shared.stats.shard_failures.inc();
+                            bad.shard.record_failure();
                         }
                     }
                     exclude.insert(new_addr.clone());
@@ -1780,12 +1708,11 @@ impl<'r> RouterConn<'r> {
         }
         if migrated > 0 && !planned {
             let elapsed = started.elapsed();
-            self.shared
-                .count(|s| &s.failovers, "router_failovers_total");
+            self.shared.stats.failovers.inc();
             self.shared
                 .stats
                 .failover_ns_total
-                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+                .add(elapsed.as_nanos() as u64);
             self.shared
                 .config
                 .obs
@@ -1820,8 +1747,7 @@ impl<'r> RouterConn<'r> {
         if self.replay_to(id, refused_by, &new_addr).is_err() {
             return false;
         }
-        self.shared
-            .count(|s| &s.sessions_requeued, "router_sessions_requeued_total");
+        self.shared.stats.sessions_requeued.inc();
         self.shared.config.obs.tracer.event_under(
             "router.session.requeue",
             self.shared.serve_span,
@@ -1860,8 +1786,7 @@ impl<'r> RouterConn<'r> {
                 replayed: rows.len() as u64,
             },
         )?;
-        self.shared
-            .count(|s| &s.handoffs_sent, "router_handoffs_total");
+        self.shared.stats.handoffs_sent.inc();
         self.send_upstream(
             new_addr,
             &Frame::OpenSession {
@@ -1897,8 +1822,7 @@ impl<'r> RouterConn<'r> {
         };
         routed.addr = new_addr.to_string();
         routed.shard = new_shard;
-        self.shared
-            .count(|s| &s.sessions_migrated, "router_sessions_migrated_total");
+        self.shared.stats.sessions_migrated.inc();
         self.shared.config.obs.tracer.event_under(
             "router.session.migrate",
             self.shared.serve_span,
@@ -1919,8 +1843,7 @@ impl<'r> RouterConn<'r> {
         };
         routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
         self.finished.insert(id);
-        self.shared
-            .count(|s| &s.sessions_failed, "router_sessions_failed_total");
+        self.shared.stats.sessions_failed.inc();
         self.send_client(&Frame::error(code, Some(id), message));
     }
 
@@ -1933,7 +1856,7 @@ impl<'r> RouterConn<'r> {
         for addr in addrs {
             let _ = self.send_upstream(&addr, &Frame::Shutdown);
         }
-        let deadline = Instant::now() + self.shared.config.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         let mut events: Vec<Event> = Vec::new();
         while !self.sessions.is_empty() && !self.upstreams.is_empty() && Instant::now() < deadline {
             if self
@@ -1972,8 +1895,7 @@ impl<'r> RouterConn<'r> {
         for (id, routed) in self.sessions.drain() {
             self.finished.insert(id);
             routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
-            self.shared
-                .count(|s| &s.sessions_abandoned, "router_sessions_abandoned_total");
+            self.shared.stats.sessions_abandoned.inc();
         }
         // Dropping the upstream sockets lets each shard see EOF and
         // account its side of the abandonment.
@@ -1988,7 +1910,7 @@ mod tests {
 
     fn pool(addrs: &[&str]) -> Pool {
         let addrs: Vec<String> = addrs.iter().map(|s| (*s).to_string()).collect();
-        Pool::new(1, &addrs, &RouterConfig::default())
+        Pool::new(1, &addrs, 64)
     }
 
     #[test]
@@ -2033,40 +1955,28 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_recovers_half_open() {
-        let config = RouterConfig {
-            breaker_threshold: 2,
-            breaker_backoff: Duration::from_millis(1),
-            breaker_backoff_cap: Duration::from_millis(8),
-            ..RouterConfig::default()
-        };
-        let shard = Shard::new("x:1".to_string(), config.breaker_backoff);
+        let shard = Shard::new("x:1".to_string());
         assert!(shard.placeable(0));
-        assert!(!shard.record_failure(&config));
+        assert!(!shard.record_failure());
         assert!(shard.placeable(0), "one failure must not trip");
-        assert!(shard.record_failure(&config), "threshold trips");
+        assert!(shard.record_failure(), "threshold trips");
         assert!(!shard.placeable(1), "open shard takes no placements");
-        std::thread::sleep(Duration::from_millis(3));
+        std::thread::sleep(BREAKER_BACKOFF + Duration::from_millis(20));
         assert!(shard.probe_due(), "expired open goes half-open");
         assert!(
             !shard.placeable(0) && shard.placeable(1),
             "half-open is probation only"
         );
         // A failed probation doubles the backoff…
-        assert!(shard.record_failure(&config));
-        assert_eq!(shard.lock().backoff, Duration::from_millis(2));
-        std::thread::sleep(Duration::from_millis(4));
+        assert!(shard.record_failure());
+        assert_eq!(shard.lock().backoff, BREAKER_BACKOFF * 2);
+        std::thread::sleep(BREAKER_BACKOFF * 2 + Duration::from_millis(20));
         assert!(shard.probe_due());
         // …and a successful one closes the breaker and resets it.
-        assert!(
-            shard.record_success(&config),
-            "reopening counts as recovery"
-        );
+        assert!(shard.record_success(), "reopening counts as recovery");
         assert!(shard.placeable(0));
         assert_eq!(shard.lock().failures, 0);
-        assert!(
-            !shard.record_success(&config),
-            "steady health is not a recovery"
-        );
+        assert!(!shard.record_success(), "steady health is not a recovery");
     }
 
     #[test]
@@ -2074,7 +1984,7 @@ mod tests {
         let router = Router::bind(
             "127.0.0.1:0",
             &["127.0.0.1:1".to_string()],
-            RouterConfig::default(),
+            RouterBuilder::new(),
         )
         .unwrap();
         for i in 1..=50 {
@@ -2095,8 +2005,7 @@ mod tests {
 
     #[test]
     fn drained_shards_are_never_placeable() {
-        let config = RouterConfig::default();
-        let shard = Shard::new("x:1".to_string(), config.breaker_backoff);
+        let shard = Shard::new("x:1".to_string());
         shard.lock().draining = true;
         assert!(!shard.placeable(0) && !shard.placeable(1));
         assert!(!shard.probe_due(), "retired shards are not probed");

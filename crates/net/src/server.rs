@@ -22,97 +22,41 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IoSlice, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use etsc_adapt::{FeedbackEvent, FeedbackSink};
+use etsc_adapt::FeedbackEvent;
 use etsc_core::{EarlyPrediction, EtscError};
 use etsc_eval::experiment::RunConfig;
-use etsc_eval::faults::{FaultPlan, FaultSchedule};
-use etsc_obs::{Counter, HistogramHandle, MetricsRegistry, Obs};
+use etsc_eval::faults::FaultSchedule;
+use etsc_obs::{Counter, HistogramHandle, MetricsRegistry};
 use etsc_serve::{SessionTable, Step, StoredModel};
 
+use crate::options::ServerBuilder;
 use crate::poll::{Event, Poller, WAKE_TOKEN};
 use crate::proto::{
     encode_frame, BatchDecision, BufferPool, DecisionKind, ErrorCode, Frame, FrameDecoder,
-    ModelInfo, ProtoError, BATCH_MINOR, MAX_FRAME_BYTES, MAX_PENDING_FRAMES, PROTO_MINOR,
-    PROTO_VERSION,
+    ModelInfo, ProtoError, BATCH_MINOR, MAX_FRAME_BYTES, PROTO_MINOR, PROTO_VERSION,
 };
 
 /// Poller token reserved for the listener (loop 0 only).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 /// Decisions per `DecisionBatch` frame — keeps the frame comfortably
-/// under any sane `max_frame_bytes` while still coalescing writes.
+/// under [`MAX_FRAME_BYTES`] while still coalescing writes.
 const MAX_DECISIONS_PER_BATCH: usize = 512;
 
-/// Tuning knobs for [`NetServer`]. Prefer building this through
-/// [`crate::ServerBuilder`], which validates the combination.
-#[derive(Clone)]
-pub struct ServerConfig {
-    /// Concurrent connections before accept-time shedding.
-    pub max_connections: usize,
-    /// Open sessions per connection before `SessionLimit` errors.
-    pub max_sessions_per_conn: usize,
-    /// Per-frame payload ceiling (both directions).
-    pub max_frame_bytes: usize,
-    /// Outbound frames queued per connection before its reads pause
-    /// until the queue drains (lossless backpressure).
-    pub max_pending_frames: usize,
-    /// Per-evaluation decision deadline applied to every session; a
-    /// client's propagated `deadline_ms` tightens it. An evaluation
-    /// that misses it forces the session's decision on the observed
-    /// prefix.
-    pub deadline: Option<Duration>,
-    /// Event-loop threads sharing the connections (0 = one per
-    /// available core, capped at 4).
-    pub event_loop_threads: usize,
-    /// Highest protocol minor revision this server negotiates —
-    /// [`PROTO_MINOR`] normally; interop tests lower it to impersonate
-    /// an older peer.
-    pub protocol_minor: u32,
-    /// Silence budget per connection (slow-loris guard).
-    pub idle_timeout: Duration,
-    /// Seeded server-side fault plan (worker panics, evaluation
-    /// delays), scheduled over [`ServerConfig::fault_horizon`].
-    pub faults: Option<FaultPlan>,
-    /// Number of (arrival-ordered) sessions the fault schedule covers.
-    pub fault_horizon: usize,
-    /// Where post-decision ground truth (`Frame::Feedback`) is
-    /// delivered — typically an `etsc_adapt::Adapter`. `None` grades
-    /// feedback for the counters but retains nothing.
-    pub feedback: Option<Arc<dyn FeedbackSink>>,
-    /// Tracing + metrics sink.
-    pub obs: Obs,
-}
+/// Silence budget per connection: the slow-loris guard.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            max_connections: 64,
-            max_sessions_per_conn: 1024,
-            max_frame_bytes: MAX_FRAME_BYTES,
-            max_pending_frames: MAX_PENDING_FRAMES,
-            deadline: None,
-            event_loop_threads: 0,
-            protocol_minor: PROTO_MINOR,
-            idle_timeout: Duration::from_secs(30),
-            faults: None,
-            fault_horizon: 0,
-            feedback: None,
-            obs: Obs::disabled(),
-        }
-    }
-}
-
-/// Resolves [`ServerConfig::event_loop_threads`]: explicit when
+/// Resolves [`ServerBuilder::event_loop_threads`]: explicit when
 /// nonzero, otherwise one loop per available core capped at four — the
 /// loops multiplex sockets, they do not need to scale with load.
-pub(crate) fn resolve_event_loops(configured: usize) -> usize {
+fn resolve_event_loops(configured: usize) -> usize {
     if configured > 0 {
         configured
     } else {
@@ -178,50 +122,73 @@ impl ServerStats {
     }
 }
 
-#[derive(Default)]
-struct StatsCells {
-    connections_accepted: AtomicU64,
-    connections_shed: AtomicU64,
-    connections_closed: AtomicU64,
-    sessions_opened: AtomicU64,
-    sessions_resumed: AtomicU64,
-    sessions_decided: AtomicU64,
-    sessions_failed: AtomicU64,
-    sessions_abandoned: AtomicU64,
-    drain_decisions: AtomicU64,
-    frames_read: AtomicU64,
-    frames_written: AtomicU64,
-    proto_errors: AtomicU64,
-    worker_panics: AtomicU64,
-    sessions_handoff: AtomicU64,
-    feedback_received: AtomicU64,
-    frames_unknown: AtomicU64,
-    model_swaps: AtomicU64,
-    observations_expired: AtomicU64,
+/// Every server counter, resolved once at bind: each cell is the one
+/// the metrics registry renders and [`NetServer::stats`] reads.
+struct Counters {
+    connections_accepted: Counter,
+    connections_shed: Counter,
+    connections_closed: Counter,
+    sessions_opened: Counter,
+    sessions_resumed: Counter,
+    sessions_decided: Counter,
+    sessions_failed: Counter,
+    sessions_abandoned: Counter,
+    drain_decisions: Counter,
+    frames_read: Counter,
+    frames_written: Counter,
+    proto_errors: Counter,
+    worker_panics: Counter,
+    sessions_handoff: Counter,
+    feedback_received: Counter,
+    frames_unknown: Counter,
+    model_swaps: Counter,
+    observations_expired: Counter,
 }
 
-impl StatsCells {
+impl Counters {
+    fn resolve(metrics: &MetricsRegistry) -> Counters {
+        Counters {
+            connections_accepted: metrics.live_counter("net_connections_total"),
+            connections_shed: metrics.live_counter("net_connections_shed_total"),
+            connections_closed: metrics.live_counter("net_connections_closed_total"),
+            sessions_opened: metrics.live_counter("net_sessions_opened_total"),
+            sessions_resumed: metrics.live_counter("net_sessions_resumed_total"),
+            sessions_decided: metrics.live_counter("net_sessions_decided_total"),
+            sessions_failed: metrics.live_counter("net_sessions_failed_total"),
+            sessions_abandoned: metrics.live_counter("net_sessions_abandoned_total"),
+            drain_decisions: metrics.live_counter("net_drain_decisions_total"),
+            frames_read: metrics.live_counter("net_frames_read_total"),
+            frames_written: metrics.live_counter("net_frames_written_total"),
+            proto_errors: metrics.live_counter("net_proto_errors_total"),
+            worker_panics: metrics.live_counter("net_worker_panics_total"),
+            sessions_handoff: metrics.live_counter("net_sessions_handoff_total"),
+            feedback_received: metrics.live_counter("net_feedback_total"),
+            frames_unknown: metrics.live_counter("net_frames_unknown_total"),
+            model_swaps: metrics.live_counter("net_model_swaps_total"),
+            observations_expired: metrics.live_counter("net_observations_expired_total"),
+        }
+    }
+
     fn snapshot(&self) -> ServerStats {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ServerStats {
-            connections_accepted: get(&self.connections_accepted),
-            connections_shed: get(&self.connections_shed),
-            connections_closed: get(&self.connections_closed),
-            sessions_opened: get(&self.sessions_opened),
-            sessions_resumed: get(&self.sessions_resumed),
-            sessions_decided: get(&self.sessions_decided),
-            sessions_failed: get(&self.sessions_failed),
-            sessions_abandoned: get(&self.sessions_abandoned),
-            drain_decisions: get(&self.drain_decisions),
-            frames_read: get(&self.frames_read),
-            frames_written: get(&self.frames_written),
-            proto_errors: get(&self.proto_errors),
-            worker_panics: get(&self.worker_panics),
-            sessions_handoff: get(&self.sessions_handoff),
-            feedback_received: get(&self.feedback_received),
-            frames_unknown: get(&self.frames_unknown),
-            model_swaps: get(&self.model_swaps),
-            observations_expired: get(&self.observations_expired),
+            connections_accepted: self.connections_accepted.get(),
+            connections_shed: self.connections_shed.get(),
+            connections_closed: self.connections_closed.get(),
+            sessions_opened: self.sessions_opened.get(),
+            sessions_resumed: self.sessions_resumed.get(),
+            sessions_decided: self.sessions_decided.get(),
+            sessions_failed: self.sessions_failed.get(),
+            sessions_abandoned: self.sessions_abandoned.get(),
+            drain_decisions: self.drain_decisions.get(),
+            frames_read: self.frames_read.get(),
+            frames_written: self.frames_written.get(),
+            proto_errors: self.proto_errors.get(),
+            worker_panics: self.worker_panics.get(),
+            sessions_handoff: self.sessions_handoff.get(),
+            feedback_received: self.feedback_received.get(),
+            frames_unknown: self.frames_unknown.get(),
+            model_swaps: self.model_swaps.get(),
+            observations_expired: self.observations_expired.get(),
         }
     }
 }
@@ -260,14 +227,14 @@ impl Generation {
 
 struct Shared {
     gen: RwLock<Arc<Generation>>,
-    config: ServerConfig,
+    config: ServerBuilder,
     draining: AtomicBool,
     killed: AtomicBool,
     session_seq: AtomicU64,
     /// Live connections across all loops — the accept-time cap.
     active: AtomicU64,
     schedule: Option<FaultSchedule>,
-    stats: StatsCells,
+    stats: Counters,
     serve_span: Option<u64>,
     /// One waker per event loop, so state changes (drain, kill,
     /// inbox handoffs) interrupt a parked `epoll_wait`.
@@ -275,11 +242,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn count(&self, cell: impl Fn(&StatsCells) -> &AtomicU64, metric: &str) {
-        cell(&self.stats).fetch_add(1, Ordering::Relaxed);
-        self.config.obs.metrics.counter(metric).inc();
-    }
-
     fn wake_all(&self) {
         for waker in &self.wakers {
             waker.wake();
@@ -302,15 +264,12 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving `model` on a pool of background event loops.
-    ///
-    /// # Errors
-    /// `std::io::Error` when the address cannot be bound or the event
-    /// loops cannot be created.
-    pub fn bind<A: ToSocketAddrs>(
+    /// serving `model` on a pool of background event loops; reached
+    /// through [`crate::Endpoint::serve`], which validates `config`.
+    pub(crate) fn bind(
         model: Arc<StoredModel>,
-        addr: A,
-        config: ServerConfig,
+        addr: &str,
+        config: ServerBuilder,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -338,13 +297,13 @@ impl NetServer {
         }
         let shared = Arc::new(Shared {
             gen: RwLock::new(Arc::new(generation)),
+            stats: Counters::resolve(&config.obs.metrics),
             config,
             draining: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             session_seq: AtomicU64::new(0),
             active: AtomicU64::new(0),
             schedule,
-            stats: StatsCells::default(),
             serve_span,
             wakers: pollers.clone(),
         });
@@ -411,7 +370,7 @@ impl NetServer {
     }
 
     /// How many event-loop threads are multiplexing the connections
-    /// (the resolved value of [`ServerConfig::event_loop_threads`]).
+    /// (the resolved value of [`ServerBuilder::event_loop_threads`]).
     pub fn event_loops(&self) -> usize {
         self.loops.len()
     }
@@ -448,8 +407,7 @@ impl NetServer {
         }
         let generation = next.info.generation;
         *self.shared.gen.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
-        self.shared
-            .count(|s| &s.model_swaps, "net_model_swaps_total");
+        self.shared.stats.model_swaps.inc();
         self.shared.config.obs.tracer.event_under(
             "net.model.swap",
             self.shared.serve_span,
@@ -508,9 +466,9 @@ impl NetServer {
 /// Refuses a connection at accept time with a best-effort error frame
 /// carrying the code's retry classification, so clients know whether
 /// (and roughly when) a reconnect is worth attempting.
-fn shed_connection(shared: &Shared, mut stream: TcpStream, code: ErrorCode, why: &str) {
+fn shed_connection(mut stream: TcpStream, code: ErrorCode, why: &str) {
     let frame = Frame::error(code, None, why);
-    if let Ok(wire) = encode_frame(&frame, shared.config.max_frame_bytes) {
+    if let Ok(wire) = encode_frame(&frame, MAX_FRAME_BYTES) {
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
         let _ = stream.write_all(&wire);
@@ -631,18 +589,18 @@ impl EventLoop {
                 Ok((stream, peer)) => {
                     if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections as u64
                     {
-                        shared.count(|s| &s.connections_shed, "net_connections_shed_total");
+                        shared.stats.connections_shed.inc();
                         obs.tracer.event_under(
                             "net.conn.shed",
                             shared.serve_span,
                             &[("peer", &peer.to_string())],
                         );
-                        shed_connection(&shared, stream, ErrorCode::Overloaded, "connection cap");
+                        shed_connection(stream, ErrorCode::Overloaded, "connection cap");
                         continue;
                     }
                     self.conn_seq += 1;
                     let conn_id = self.conn_seq;
-                    shared.count(|s| &s.connections_accepted, "net_connections_total");
+                    shared.stats.connections_accepted.inc();
                     obs.tracer.event_under(
                         "net.conn.accept",
                         shared.serve_span,
@@ -677,7 +635,7 @@ impl EventLoop {
         let shared = Arc::clone(&self.shared);
         if stream.set_nonblocking(true).is_err() {
             shared.active.fetch_sub(1, Ordering::SeqCst);
-            shared.count(|s| &s.connections_closed, "net_connections_closed_total");
+            shared.stats.connections_closed.inc();
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -697,16 +655,15 @@ impl EventLoop {
             .is_err()
         {
             shared.active.fetch_sub(1, Ordering::SeqCst);
-            shared.count(|s| &s.connections_closed, "net_connections_closed_total");
+            shared.stats.connections_closed.inc();
             return;
         }
         let now = Instant::now();
-        let max_frame = shared.config.max_frame_bytes;
         let cap = shared.config.max_pending_frames.max(1);
         let conn = Conn {
             shared,
             stream,
-            dec: FrameDecoder::new(max_frame),
+            dec: FrameDecoder::new(MAX_FRAME_BYTES),
             out: OutBuf {
                 queue: VecDeque::new(),
                 head_off: 0,
@@ -766,11 +723,10 @@ impl EventLoop {
     /// Evicts connections that stayed silent past the idle budget —
     /// the slow-loris guard, now driven off the poll timeout.
     fn idle_scan(&mut self) {
-        let idle_timeout = self.shared.config.idle_timeout;
         let expired: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.last_activity.elapsed() > idle_timeout)
+            .filter(|(_, c)| c.last_activity.elapsed() > IDLE_TIMEOUT)
             .map(|(&t, _)| t)
             .collect();
         for token in expired {
@@ -778,7 +734,7 @@ impl EventLoop {
                 conn.send(Frame::error(
                     ErrorCode::IdleTimeout,
                     None,
-                    format!("no frames for {idle_timeout:?}"),
+                    format!("no frames for {IDLE_TIMEOUT:?}"),
                 ));
                 conn.closing = Some(CloseReason::IdleTimeout);
                 self.close_conn(token);
@@ -790,9 +746,8 @@ impl EventLoop {
     /// capped so flag changes never wait long even if a wake is lost.
     fn next_timeout(&self) -> Duration {
         let mut timeout = Duration::from_millis(500);
-        let idle_timeout = self.shared.config.idle_timeout;
         for conn in self.conns.values() {
-            let budget = idle_timeout.saturating_sub(conn.last_activity.elapsed());
+            let budget = IDLE_TIMEOUT.saturating_sub(conn.last_activity.elapsed());
             timeout = timeout.min(budget);
         }
         timeout.max(Duration::from_millis(1))
@@ -836,7 +791,7 @@ impl EventLoop {
         let abandoned = conn.abandon_all();
         conn.teardown_flush();
         shared.active.fetch_sub(1, Ordering::SeqCst);
-        shared.count(|s| &s.connections_closed, "net_connections_closed_total");
+        shared.stats.connections_closed.inc();
         let obs = &shared.config.obs;
         obs.tracer.event_under(
             "net.conn.close",
@@ -1030,7 +985,7 @@ impl Conn {
             match self.dec.next_frame() {
                 Ok(Some(frame)) => {
                     self.last_activity = Instant::now();
-                    shared.count(|s| &s.frames_read, "net_frames_read_total");
+                    shared.stats.frames_read.inc();
                     hists.frame_read(&obs.metrics, frame.kind_name());
                     let started = Instant::now();
                     match self.handle(frame) {
@@ -1070,7 +1025,7 @@ impl Conn {
                     // a structured error and keep serving instead of
                     // tearing the session table down with the
                     // connection.
-                    shared.count(|s| &s.frames_unknown, "net_frames_unknown_total");
+                    shared.stats.frames_unknown.inc();
                     self.send(Frame::error(
                         ErrorCode::BadFrame,
                         None,
@@ -1078,7 +1033,7 @@ impl Conn {
                     ));
                 }
                 Err(e) => {
-                    shared.count(|s| &s.proto_errors, "net_proto_errors_total");
+                    shared.stats.proto_errors.inc();
                     self.send(Frame::error(ErrorCode::BadFrame, None, e.to_string()));
                     self.closing = Some(CloseReason::Proto(e));
                     return;
@@ -1092,7 +1047,7 @@ impl Conn {
         match frame {
             Frame::Hello { version, minor, .. } => {
                 if version != PROTO_VERSION {
-                    shared.count(|s| &s.proto_errors, "net_proto_errors_total");
+                    shared.stats.proto_errors.inc();
                     self.send(Frame::error(
                         ErrorCode::BadFrame,
                         None,
@@ -1109,13 +1064,10 @@ impl Conn {
                 }
                 if !self.said_hello {
                     self.said_hello = true;
-                    self.negotiated = minor.min(shared.config.protocol_minor);
-                    self.send(Frame::Hello {
-                        version: PROTO_VERSION,
-                        minor: shared.config.protocol_minor,
-                        agent: "etsc-net-server".into(),
-                        meta: Some(self.gen.info.clone()),
-                    });
+                    // Outside input: older clients still get served, at
+                    // the revision they speak.
+                    self.negotiated = minor.min(PROTO_MINOR);
+                    self.send(Frame::hello("etsc-net-server", Some(self.gen.info.clone())));
                 }
                 Handled::Ok
             }
@@ -1150,7 +1102,7 @@ impl Conn {
                     // frame anyway: refuse it cleanly, keep the
                     // connection — the structured reply is the interop
                     // contract for mismatched minors.
-                    shared.count(|s| &s.proto_errors, "net_proto_errors_total");
+                    shared.stats.proto_errors.inc();
                     self.send(Frame::error(
                         ErrorCode::BadFrame,
                         Some(session),
@@ -1173,7 +1125,7 @@ impl Conn {
             Frame::CloseSession { session } => {
                 if self.table.remove(session).is_some() {
                     self.finished.insert(session);
-                    shared.count(|s| &s.sessions_abandoned, "net_sessions_abandoned_total");
+                    shared.stats.sessions_abandoned.inc();
                 }
                 Handled::Ok
             }
@@ -1185,7 +1137,7 @@ impl Conn {
                 // Advisory migration announcement from a router: count
                 // it and record the provenance; the resume that follows
                 // is handled like any client reconnect.
-                shared.count(|s| &s.sessions_handoff, "net_sessions_handoff_total");
+                shared.stats.sessions_handoff.inc();
                 shared.config.obs.tracer.event_under(
                     "net.session.handoff",
                     shared.serve_span,
@@ -1267,9 +1219,9 @@ impl Conn {
             return;
         }
         if resume {
-            shared.count(|s| &s.sessions_resumed, "net_sessions_resumed_total");
+            shared.stats.sessions_resumed.inc();
         } else {
-            shared.count(|s| &s.sessions_opened, "net_sessions_opened_total");
+            shared.stats.sessions_opened.inc();
         }
     }
 
@@ -1312,10 +1264,7 @@ impl Conn {
         // Already lapsed means the answer is dead on arrival — skip the
         // evaluation instead of computing it.
         if deadline_ms > 0 && self.read_epoch.elapsed() >= Duration::from_millis(deadline_ms) {
-            shared.count(
-                |s| &s.observations_expired,
-                "net_observations_expired_total",
-            );
+            shared.stats.observations_expired.inc();
             self.fail_session(
                 id,
                 ErrorCode::Expired,
@@ -1345,7 +1294,7 @@ impl Conn {
             }
             Some(Step::Panicked(msg)) => {
                 let shared = Arc::clone(&self.shared);
-                shared.count(|s| &s.worker_panics, "net_worker_panics_total");
+                shared.stats.worker_panics.inc();
                 shared.config.obs.tracer.event_under(
                     "net.worker.panic",
                     shared.serve_span,
@@ -1398,9 +1347,9 @@ impl Conn {
             },
         );
         self.decided_order.push_back(id);
-        shared.count(|s| &s.sessions_decided, "net_sessions_decided_total");
+        shared.stats.sessions_decided.inc();
         if drain {
-            shared.count(|s| &s.drain_decisions, "net_drain_decisions_total");
+            shared.stats.drain_decisions.inc();
         }
         if self.negotiated >= BATCH_MINOR {
             // Coalesce: verdicts stream out as one `DecisionBatch` (or
@@ -1471,7 +1420,7 @@ impl Conn {
         let Some(info) = self.decided.remove(&id) else {
             return; // unreachable: containment checked above
         };
-        shared.count(|s| &s.feedback_received, "net_feedback_total");
+        shared.stats.feedback_received.inc();
         let correct = info.label == truth;
         shared.config.obs.tracer.event_under(
             "net.session.feedback",
@@ -1501,7 +1450,7 @@ impl Conn {
         let seq = self.seq_of(id);
         self.table.remove(id);
         self.finished.insert(id);
-        shared.count(|s| &s.sessions_failed, "net_sessions_failed_total");
+        shared.stats.sessions_failed.inc();
         shared.config.obs.tracer.event_under(
             "net.session.fail",
             shared.serve_span,
@@ -1543,7 +1492,7 @@ impl Conn {
         let n = self.table.len();
         for (id, _) in self.table.drain() {
             self.finished.insert(id);
-            shared.count(|s| &s.sessions_abandoned, "net_sessions_abandoned_total");
+            shared.stats.sessions_abandoned.inc();
         }
         n
     }
@@ -1554,8 +1503,7 @@ impl Conn {
         if self.out.dead {
             return;
         }
-        let max_frame_bytes = self.shared.config.max_frame_bytes;
-        if let Ok(wire) = self.out.pool.encode(&frame, max_frame_bytes) {
+        if let Ok(wire) = self.out.pool.encode(&frame, MAX_FRAME_BYTES) {
             self.out.queue.push_back(wire);
         }
     }
@@ -1595,7 +1543,7 @@ impl Conn {
                             if let Some(buf) = self.out.queue.pop_front() {
                                 self.out.pool.give(buf);
                             }
-                            shared.count(|s| &s.frames_written, "net_frames_written_total");
+                            shared.stats.frames_written.inc();
                         } else {
                             self.out.head_off += n;
                             n = 0;
@@ -1652,7 +1600,7 @@ impl Conn {
                 self.out.dead = true;
                 return;
             }
-            shared.count(|s| &s.frames_written, "net_frames_written_total");
+            shared.stats.frames_written.inc();
         }
         let _ = self.stream.flush();
     }

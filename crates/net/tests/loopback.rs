@@ -5,7 +5,9 @@ use std::time::Duration;
 
 use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
-use etsc_net::{Client, ClientConfig, DecisionKind, ErrorCode, NetError, NetServer, ServerConfig};
+use etsc_net::{
+    Client, ClientBuilder, DecisionKind, Endpoint, ErrorCode, NetError, NetServer, ServerBuilder,
+};
 use etsc_serve::fit_model;
 
 fn synthetic() -> Dataset {
@@ -24,10 +26,10 @@ fn synthetic() -> Dataset {
     b.build().unwrap()
 }
 
-fn serve_synthetic(config: ServerConfig) -> (NetServer, Dataset) {
+fn serve_synthetic(config: ServerBuilder) -> (NetServer, Dataset) {
     let data = synthetic();
     let model = Arc::new(fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap());
-    let server = NetServer::bind(model, "127.0.0.1:0", config).unwrap();
+    let server = Endpoint::serve(model, "127.0.0.1:0", config).unwrap();
     (server, data)
 }
 
@@ -47,10 +49,10 @@ fn stream_instance(client: &mut Client, data: &Dataset, i: usize) -> etsc_net::D
 
 #[test]
 fn loopback_decisions_match_offline_predictions() {
-    let (server, data) = serve_synthetic(ServerConfig::default());
+    let (server, data) = serve_synthetic(ServerBuilder::new());
     let addr = server.local_addr().to_string();
     let model = fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap();
-    let mut client = Client::connect(&addr, ClientConfig::default()).unwrap();
+    let mut client = Endpoint::connect(&addr, ClientBuilder::new()).unwrap();
     assert_eq!(client.meta().algo, "ECTS");
     assert_eq!(client.meta().vars, 1);
     for i in 0..data.len() {
@@ -70,12 +72,12 @@ fn loopback_decisions_match_offline_predictions() {
 
 #[test]
 fn torn_frame_reconnect_resumes_and_still_answers() {
-    let (server, data) = serve_synthetic(ServerConfig::default());
+    let (server, data) = serve_synthetic(ServerBuilder::new());
     let addr = server.local_addr().to_string();
     let model = fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap();
     let inst = data.instance(0);
     let offline = model.classifier().predict_early(inst).unwrap();
-    let mut client = Client::connect(&addr, ClientConfig::default()).unwrap();
+    let mut client = Endpoint::connect(&addr, ClientBuilder::new()).unwrap();
     let id = client.open_session(inst.len()).unwrap();
     let row = |t: usize| -> Vec<f64> { (0..inst.vars()).map(|v| inst.at(v, t)).collect() };
     // Tear the very first observation's frame: the session cannot have
@@ -106,24 +108,14 @@ fn torn_frame_reconnect_resumes_and_still_answers() {
 
 #[test]
 fn accept_cap_sheds_excess_connections() {
-    let (server, _data) = serve_synthetic(ServerConfig {
-        max_connections: 1,
-        ..ServerConfig::default()
-    });
+    let (server, _data) = serve_synthetic(ServerBuilder::new().max_connections(1));
     let addr = server.local_addr().to_string();
-    let _first = Client::connect(&addr, ClientConfig::default()).unwrap();
+    let _first = Endpoint::connect(&addr, ClientBuilder::new()).unwrap();
     // Give the accept loop a moment to register the first connection.
     std::thread::sleep(Duration::from_millis(50));
-    let second = Client::connect(
-        &addr,
-        ClientConfig {
-            reconnect_attempts: 1,
-            // No redials on the retryable refusal: the shed count
-            // below is exact.
-            connect_retry_budget: 0,
-            ..ClientConfig::default()
-        },
-    );
+    // No redials on the retryable refusal: the shed count below is
+    // exact.
+    let second = Endpoint::connect(&addr, ClientBuilder::new().retry_budgets(3, 0));
     match second {
         Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::Overloaded),
         Err(other) => panic!("expected overloaded shed, got {other:?}"),
@@ -136,10 +128,10 @@ fn accept_cap_sheds_excess_connections() {
 
 #[test]
 fn graceful_drain_answers_in_flight_sessions() {
-    let (server, data) = serve_synthetic(ServerConfig::default());
+    let (server, data) = serve_synthetic(ServerBuilder::new());
     let addr = server.local_addr().to_string();
     let inst = data.instance(1);
-    let mut client = Client::connect(&addr, ClientConfig::default()).unwrap();
+    let mut client = Endpoint::connect(&addr, ClientBuilder::new()).unwrap();
     let id = client.open_session(inst.len()).unwrap();
     // No observations at all: nothing can trigger genuinely, so the
     // drain verdict is deterministic — the training prior at prefix 0.
@@ -156,15 +148,7 @@ fn graceful_drain_answers_in_flight_sessions() {
     assert_eq!(stats.open_sessions(), 0, "{stats:?}");
     // Draining servers refuse fresh connections outright: the listener
     // is closed, so the dial itself fails.
-    assert!(Client::connect(
-        &addr,
-        ClientConfig {
-            reconnect_attempts: 1,
-            handshake_timeout: Duration::from_millis(500),
-            ..ClientConfig::default()
-        }
-    )
-    .is_err());
+    assert!(Endpoint::connect(&addr, ClientBuilder::new()).is_err());
 }
 
 #[test]
@@ -172,7 +156,7 @@ fn version_mismatch_is_refused() {
     use etsc_net::{encode_frame, Frame, FrameDecoder, ProtoError, MAX_FRAME_BYTES};
     use std::io::{Read, Write};
 
-    let (server, _data) = serve_synthetic(ServerConfig::default());
+    let (server, _data) = serve_synthetic(ServerBuilder::new());
     let addr = server.local_addr();
     let mut raw = std::net::TcpStream::connect(addr).unwrap();
     let hello = Frame::Hello {

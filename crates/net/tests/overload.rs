@@ -18,9 +18,7 @@ use std::time::Duration;
 use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
 use etsc_eval::faults::FaultPlan;
-use etsc_net::{
-    run_loadgen, Client, ClientConfig, DecisionKind, LoadgenOptions, NetServer, ServerConfig,
-};
+use etsc_net::{run_loadgen, ClientBuilder, DecisionKind, Endpoint, LoadgenOptions, ServerBuilder};
 use etsc_obs::Obs;
 use etsc_serve::{fit_model, StoredModel};
 
@@ -65,14 +63,10 @@ fn overload_5x_loses_nothing_and_keeps_goodput() {
     // equals capacity, nothing queues, nothing should shed. This is
     // the goodput yardstick, measured on this very machine.
     let base_sessions = 120;
-    let base_server = NetServer::bind(
+    let base_server = Endpoint::serve(
         Arc::clone(&model),
         "127.0.0.1:0",
-        ServerConfig {
-            faults: Some(delay_plan(DELAY_MS)),
-            fault_horizon: base_sessions,
-            ..ServerConfig::default()
-        },
+        ServerBuilder::new().faults(delay_plan(DELAY_MS), base_sessions),
     )
     .unwrap();
     let base = run_loadgen(
@@ -99,15 +93,12 @@ fn overload_5x_loses_nothing_and_keeps_goodput() {
     // outcome instead of eventually squeezing through.
     let obs = Obs::enabled();
     let over_sessions = 300;
-    let over_server = NetServer::bind(
+    let over_server = Endpoint::serve(
         Arc::clone(&model),
         "127.0.0.1:0",
-        ServerConfig {
-            faults: Some(delay_plan(DELAY_MS)),
-            fault_horizon: over_sessions,
-            obs: obs.clone(),
-            ..ServerConfig::default()
-        },
+        ServerBuilder::new()
+            .faults(delay_plan(DELAY_MS), over_sessions)
+            .obs(obs.clone()),
     )
     .unwrap();
     let over = run_loadgen(
@@ -118,10 +109,7 @@ fn overload_5x_loses_nothing_and_keeps_goodput() {
             sessions: over_sessions,
             open_ahead: 5,
             wait_timeout: Duration::from_secs(60),
-            client: ClientConfig {
-                open_retry_budget: 0,
-                ..ClientConfig::default()
-            },
+            client: ClientBuilder::new().retry_budgets(0, 3),
             send_shutdown: true,
             ..LoadgenOptions::default()
         },
@@ -172,23 +160,16 @@ fn propagated_deadline_forces_a_decision_under_a_looser_server_deadline() {
     // forced on the one row observed, whatever rows follow.
     let data = synthetic();
     let model = model(&data);
-    let server = NetServer::bind(
+    let server = Endpoint::serve(
         Arc::clone(&model),
         "127.0.0.1:0",
-        ServerConfig {
-            deadline: Some(Duration::from_secs(1)),
-            faults: Some(delay_plan(30)),
-            fault_horizon: 1,
-            ..ServerConfig::default()
-        },
+        ServerBuilder::new()
+            .deadline(Duration::from_secs(1))
+            .faults(delay_plan(30), 1),
     )
     .unwrap();
     let addr = server.local_addr().to_string();
-    let config = ClientConfig {
-        deadline_ms: 5,
-        ..ClientConfig::default()
-    };
-    let mut client = Client::connect(&addr, config).unwrap();
+    let mut client = Endpoint::connect(&addr, ClientBuilder::new().deadline_ms(5)).unwrap();
     let inst = data.instance(0);
     let id = client.open_session(inst.len()).unwrap();
     for t in 0..inst.len() {
@@ -219,28 +200,22 @@ fn expired_deadlines_skip_dead_work() {
     let data = synthetic();
     let model = model(&data);
     let obs = Obs::enabled();
-    let server = NetServer::bind(
+    let server = Endpoint::serve(
         Arc::clone(&model),
         "127.0.0.1:0",
-        ServerConfig {
-            faults: Some(delay_plan(30)),
-            fault_horizon: 2,
-            obs: obs.clone(),
-            ..ServerConfig::default()
-        },
+        ServerBuilder::new()
+            .faults(delay_plan(30), 2)
+            .obs(obs.clone()),
     )
     .unwrap();
     let addr = server.local_addr().to_string();
-    let config = ClientConfig {
-        observe_deadline_ms: 5,
-        ..ClientConfig::default()
-    };
+    let config = ClientBuilder::new().observe_deadline_ms(5);
     let inst = data.instance(0);
     let row = |t: usize| -> Vec<f64> { (0..inst.vars()).map(|v| inst.at(v, t)).collect() };
 
     // Paced: wait out the slow step-1 evaluation before sending more,
     // so every frame is handled fresh and the budget never lapses.
-    let mut paced = etsc_net::Client::connect(&addr, config.clone()).unwrap();
+    let mut paced = Endpoint::connect(&addr, config.clone()).unwrap();
     let paced_id = paced.open_session(inst.len()).unwrap();
     paced.observe(paced_id, &row(0)).unwrap();
     std::thread::sleep(Duration::from_millis(60));
@@ -258,7 +233,7 @@ fn expired_deadlines_skip_dead_work() {
 
     // Flooding: every row lands at once, so rows behind the 30ms
     // evaluation are already dead when their turn comes.
-    let mut flood = etsc_net::Client::connect(&addr, config).unwrap();
+    let mut flood = Endpoint::connect(&addr, config).unwrap();
     let flood_id = flood.open_session(inst.len()).unwrap();
     for t in 0..inst.len() {
         flood.observe(flood_id, &row(t)).unwrap();
@@ -298,21 +273,15 @@ fn retry_budget_absorbs_session_limit_refusals() {
     // decisions.
     let data = synthetic();
     let model = model(&data);
-    let server = NetServer::bind(
+    let server = Endpoint::serve(
         Arc::clone(&model),
         "127.0.0.1:0",
-        ServerConfig {
-            max_sessions_per_conn: 1,
-            ..ServerConfig::default()
-        },
+        ServerBuilder::new().max_sessions_per_conn(1),
     )
     .unwrap();
-    let mut client = etsc_net::Client::connect(
+    let mut client = Endpoint::connect(
         &server.local_addr().to_string(),
-        ClientConfig {
-            open_retry_budget: 8,
-            ..ClientConfig::default()
-        },
+        ClientBuilder::new().retry_budgets(8, 3),
     )
     .unwrap();
     let row = |inst: &MultiSeries, t: usize| -> Vec<f64> {

@@ -1,7 +1,7 @@
 //! Router integration tests: real sockets, real shards, one process.
 //!
-//! Each test stands up genuine `NetServer` shards behind a [`Router`]
-//! and drives them with the real [`Client`] — placement, breaker
+//! Each test stands up genuine `NetServer` shards behind a `Router`
+//! and drives them with the real `Client` — placement, breaker
 //! trips and recoveries, planned drains, and blue/green swaps are all
 //! observed through the wire, not unit-level calls.
 
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
 use etsc_eval::experiment::{AlgoSpec, RunConfig};
-use etsc_net::{Client, ClientConfig, NetServer, Router, RouterConfig, ServerConfig};
+use etsc_net::{Client, ClientBuilder, Endpoint, NetServer, RouterBuilder, ServerBuilder};
 use etsc_serve::{fit_model, StoredModel};
 
 fn synthetic() -> Dataset {
@@ -31,18 +31,12 @@ fn synthetic() -> Dataset {
 }
 
 fn shard(model: &Arc<StoredModel>) -> NetServer {
-    NetServer::bind(Arc::clone(model), "127.0.0.1:0", ServerConfig::default()).unwrap()
+    Endpoint::serve(Arc::clone(model), "127.0.0.1:0", ServerBuilder::new()).unwrap()
 }
 
-/// A router config with test-speed probe and breaker cadences.
-fn fast_router() -> RouterConfig {
-    RouterConfig {
-        probe_interval: Duration::from_millis(25),
-        probe_timeout: Duration::from_millis(250),
-        breaker_backoff: Duration::from_millis(50),
-        breaker_backoff_cap: Duration::from_millis(200),
-        ..RouterConfig::default()
-    }
+/// A router with a test-speed probe cadence.
+fn fast_router() -> RouterBuilder {
+    RouterBuilder::new().probes(Duration::from_millis(25), Duration::from_millis(250))
 }
 
 fn stream_instance(client: &mut Client, data: &Dataset, i: usize) -> etsc_net::Decision {
@@ -76,10 +70,10 @@ fn router_places_sessions_and_decisions_match_offline() {
     let model = Arc::new(fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap());
     let shards = [shard(&model), shard(&model)];
     let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
-    let router = Router::bind("127.0.0.1:0", &addrs, fast_router()).unwrap();
+    let router = Endpoint::route("127.0.0.1:0", &addrs, fast_router()).unwrap();
 
     let mut client =
-        Client::connect(&router.local_addr().to_string(), ClientConfig::default()).unwrap();
+        Endpoint::connect(&router.local_addr().to_string(), ClientBuilder::new()).unwrap();
     assert_eq!(client.meta().algo, "ECTS", "shard handshake passes through");
     assert_eq!(client.meta().vars, 1);
     let n = 24;
@@ -129,7 +123,7 @@ fn breaker_trips_on_dead_shard_and_recovers_when_it_returns() {
     drop(reserved);
 
     let addrs = vec![live.local_addr().to_string(), dead_addr.clone()];
-    let router = Router::bind("127.0.0.1:0", &addrs, fast_router()).unwrap();
+    let router = Endpoint::route("127.0.0.1:0", &addrs, fast_router()).unwrap();
     wait_until(
         "dead shard's breaker to open",
         Duration::from_secs(10),
@@ -138,7 +132,7 @@ fn breaker_trips_on_dead_shard_and_recovers_when_it_returns() {
 
     // Every session lands on the live shard while the breaker is open.
     let mut client =
-        Client::connect(&router.local_addr().to_string(), ClientConfig::default()).unwrap();
+        Endpoint::connect(&router.local_addr().to_string(), ClientBuilder::new()).unwrap();
     for i in 0..8 {
         stream_instance(&mut client, &data, i);
     }
@@ -151,12 +145,8 @@ fn breaker_trips_on_dead_shard_and_recovers_when_it_returns() {
 
     // Revive the shard on the dead address: a half-open probe succeeds
     // and the breaker closes.
-    let revived = NetServer::bind(
-        Arc::clone(&model),
-        dead_addr.as_str(),
-        ServerConfig::default(),
-    )
-    .expect("rebind the reserved port");
+    let revived = Endpoint::serve(Arc::clone(&model), &dead_addr, ServerBuilder::new())
+        .expect("rebind the reserved port");
     wait_until(
         "revived shard's breaker to close",
         Duration::from_secs(10),
@@ -188,21 +178,19 @@ fn planned_drain_answers_sessions_and_skips_the_breaker_penalty() {
     // Slow probes: this test's drains race the probe cadence (a
     // shard's listener closes before its announcement is processed),
     // and probe-vs-drain attribution is not what it pins down.
-    let router = Router::bind(
+    let router = Endpoint::route(
         "127.0.0.1:0",
         &addrs,
-        RouterConfig {
-            obs: obs.clone(),
-            probe_interval: Duration::from_secs(5),
-            ..fast_router()
-        },
+        RouterBuilder::new()
+            .probes(Duration::from_secs(5), Duration::from_millis(250))
+            .obs(obs.clone()),
     )
     .unwrap();
 
     // Open sessions with a single observed row each, so both shards
     // hold undecided residents.
     let mut client =
-        Client::connect(&router.local_addr().to_string(), ClientConfig::default()).unwrap();
+        Endpoint::connect(&router.local_addr().to_string(), ClientBuilder::new()).unwrap();
     let n = 12;
     let mut ids = Vec::new();
     for i in 0..n {
@@ -283,11 +271,11 @@ fn blue_green_swap_moves_traffic_and_retires_the_old_generation() {
     let model = Arc::new(fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap());
     let blue = [shard(&model), shard(&model)];
     let blue_addrs: Vec<String> = blue.iter().map(|s| s.local_addr().to_string()).collect();
-    let router = Router::bind("127.0.0.1:0", &blue_addrs, fast_router()).unwrap();
+    let router = Endpoint::route("127.0.0.1:0", &blue_addrs, fast_router()).unwrap();
     assert_eq!(router.generation(), 1);
 
     let mut client =
-        Client::connect(&router.local_addr().to_string(), ClientConfig::default()).unwrap();
+        Endpoint::connect(&router.local_addr().to_string(), ClientBuilder::new()).unwrap();
     for i in 0..8 {
         stream_instance(&mut client, &data, i);
     }

@@ -78,12 +78,9 @@ fn session_decisions(stored: &StoredModel, data: &Dataset) -> Vec<(usize, usize)
 fn wire_decisions(model: Arc<StoredModel>, data: &Dataset) -> Vec<(usize, usize)> {
     let server = Endpoint::serve(model, "127.0.0.1:0", ServerBuilder::new()).unwrap();
     let addr = server.local_addr().to_string();
-    let mut client = Endpoint::connect(&addr, ClientBuilder::new().agent("parity")).unwrap();
-    assert!(
-        client.negotiated_minor() >= 2,
-        "expected the rev-2 batched protocol, got rev {}",
-        client.negotiated_minor()
-    );
+    // The client refuses a server below rev 2, so the rows below
+    // travel as batch frames.
+    let mut client = Endpoint::connect(&addr, ClientBuilder::new()).unwrap();
     let mut out = Vec::with_capacity(data.len());
     for i in 0..data.len() {
         let inst = data.instance(i);

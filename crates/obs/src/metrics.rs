@@ -27,6 +27,14 @@ pub struct Counter {
 }
 
 impl Counter {
+    /// A live counter that belongs to no registry: it counts and reads
+    /// back, but no snapshot renders it.
+    pub fn standalone() -> Counter {
+        Counter {
+            cell: Some(Arc::new(AtomicU64::new(0))),
+        }
+    }
+
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -177,6 +185,18 @@ impl MetricsRegistry {
             }
         };
         Counter { cell: Some(cell) }
+    }
+
+    /// The counter named `name` when the registry is enabled, otherwise
+    /// a [`Counter::standalone`] one — for counts the caller reads back
+    /// whether or not metrics are on. Resolve it once and keep the
+    /// handle: the lookup locks the registry.
+    pub fn live_counter(&self, name: &str) -> Counter {
+        if self.is_enabled() {
+            self.counter(name)
+        } else {
+            Counter::standalone()
+        }
     }
 
     /// The gauge named `name`, created on first use.
@@ -369,6 +389,21 @@ mod tests {
         h.record(1.0);
         assert!(h.snapshot().is_empty());
         assert_eq!(m.render_prometheus(), "");
+    }
+
+    #[test]
+    fn live_counters_count_with_or_without_a_registry() {
+        let off = MetricsRegistry::disabled().live_counter("x_total");
+        off.add(2);
+        assert_eq!(off.get(), 2);
+        let m = MetricsRegistry::enabled();
+        let on = m.live_counter("x_total");
+        on.inc();
+        assert_eq!(
+            m.counter("x_total").get(),
+            1,
+            "the registry renders the same cell"
+        );
     }
 
     #[test]

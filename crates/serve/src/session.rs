@@ -195,14 +195,16 @@ impl<'m> StreamSession<'m> {
             std::thread::sleep(delay);
         }
         let label = self.stream.decide(is_final)?;
-        let breached = self.record_eval(started.elapsed().as_secs_f64());
+        let breached = self.record_eval(started.elapsed().as_secs_f64(), self.deadline);
         // Deadline breach: the budget expired, so the consumer is owed a
         // decision now, made on the observed prefix — the breaching
         // evaluation's own label when it produced one. The final
         // observation is exempt: `decide(true)` already was the forced
         // evaluation and the stream is over.
         if breached && !is_final {
-            return self.commit_forced(label, self.prior_label).map(Some);
+            // One breach per session: the forced evaluation answering
+            // it is not checked against the deadline again.
+            return self.commit_forced(label, self.prior_label, None).map(Some);
         }
         if let Some(label) = label {
             return Ok(Some(self.commit(label, t, false)));
@@ -223,17 +225,19 @@ impl<'m> StreamSession<'m> {
         if let Some(p) = self.decided {
             return Ok(p);
         }
-        self.commit_forced(None, prior_label)
+        self.commit_forced(None, prior_label, self.deadline)
     }
 
     /// The one forced-decision path: commits `current` (a label the
     /// caller's evaluation already produced) or else the algorithm's
-    /// forced verdict on the observed prefix, falling back to
-    /// `prior_label` when even that abstains or nothing was observed.
+    /// forced verdict on the observed prefix, timed against `deadline`,
+    /// falling back to `prior_label` when even that abstains or nothing
+    /// was observed.
     fn commit_forced(
         &mut self,
         current: Option<usize>,
         prior_label: usize,
+        deadline: Option<Duration>,
     ) -> Result<EarlyPrediction, EtscError> {
         let label = match current {
             Some(label) => label,
@@ -241,18 +245,18 @@ impl<'m> StreamSession<'m> {
             None => {
                 let started = Instant::now();
                 let forced = self.stream.decide(true)?;
-                self.record_eval(started.elapsed().as_secs_f64());
+                self.record_eval(started.elapsed().as_secs_f64(), deadline);
                 forced.unwrap_or(prior_label)
             }
         };
         Ok(self.commit(label, self.observed(), true))
     }
 
-    /// Records one evaluation latency (against the armed deadline, if
-    /// any) and reports whether it breached.
-    fn record_eval(&mut self, secs: f64) -> bool {
+    /// Records one evaluation latency (against `deadline`, if any) and
+    /// reports whether it breached.
+    fn record_eval(&mut self, secs: f64, deadline: Option<Duration>) -> bool {
         self.evals += 1;
-        match self.deadline {
+        match deadline {
             Some(deadline) => {
                 let breached = self
                     .latency
@@ -361,27 +365,31 @@ mod tests {
             Some(label) => label,
             None => reference.decide(true).unwrap().unwrap(),
         };
-        let mut s = StreamSession::new(&*model, 1, inst.len(), 1).unwrap();
-        // A prior no class carries: it must not answer, since the
-        // forced evaluation on an observed row yields a label.
-        s.set_deadline(Some(Duration::from_millis(5)), 99);
-        // A 20ms injected delay against a 5ms deadline must breach; the
-        // forced evaluation that follows takes microseconds.
-        let p = s
-            .push_with_delay(&[inst.at(0, 0)], Some(Duration::from_millis(20)))
-            .unwrap()
-            .expect("a breach commits immediately");
-        assert_eq!(
-            p,
-            EarlyPrediction {
-                label: expected,
-                prefix_len: 1
-            }
-        );
-        assert!(s.forced());
-        assert_eq!(s.deadline_breaches(), 1);
-        assert_eq!(s.latency().over_deadline(), 1);
-        assert!(s.is_done());
+        // A 20ms injected delay breaches both deadlines. Under 1µs the
+        // forced evaluation that answers the breach overruns it too,
+        // and must not count as a second breach.
+        for deadline in [Duration::from_millis(5), Duration::from_micros(1)] {
+            let mut s = StreamSession::new(&*model, 1, inst.len(), 1).unwrap();
+            // A prior no class carries: it must not answer, since the
+            // forced evaluation on an observed row yields a label.
+            s.set_deadline(Some(deadline), 99);
+            let p = s
+                .push_with_delay(&[inst.at(0, 0)], Some(Duration::from_millis(20)))
+                .unwrap()
+                .expect("a breach commits immediately");
+            assert_eq!(
+                p,
+                EarlyPrediction {
+                    label: expected,
+                    prefix_len: 1
+                },
+                "deadline {deadline:?}"
+            );
+            assert!(s.forced());
+            assert_eq!(s.deadline_breaches(), 1, "deadline {deadline:?}");
+            assert_eq!(s.latency().over_deadline(), 1, "deadline {deadline:?}");
+            assert!(s.is_done());
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use etsc::adapt::{Adapter, AdapterConfig, DetectorKind};
 use etsc::datasets::{drift_stream, DriftKind, DriftOptions, GenOptions, PaperDataset};
 use etsc::eval::experiment::{AlgoSpec, RunConfig};
-use etsc::net::{run_loadgen, Client, ClientConfig, LoadgenOptions, NetServer, ServerConfig};
+use etsc::net::{run_loadgen, ClientBuilder, Endpoint, LoadgenOptions, ServerBuilder};
 use etsc::obs::{Obs, SpanRecord, TraceRecord};
 use etsc::serve::fit_model;
 
@@ -84,14 +84,12 @@ fn adaptation_under_step_drift_survives_sabotage_and_attributes_everything() {
         },
     );
     let server = Arc::new(
-        NetServer::bind(
+        Endpoint::serve(
             Arc::clone(&stored),
             "127.0.0.1:0",
-            ServerConfig {
-                feedback: Some(Arc::new(adapter.clone())),
-                obs: obs.clone(),
-                ..ServerConfig::default()
-            },
+            ServerBuilder::new()
+                .feedback(Arc::new(adapter.clone()))
+                .obs(obs.clone()),
         )
         .expect("bind loopback server"),
     );
@@ -113,7 +111,7 @@ fn adaptation_under_step_drift_survives_sabotage_and_attributes_everything() {
         sessions: SESSIONS,
         rate: 0.0,
         faults: None,
-        client: ClientConfig::default(),
+        client: ClientBuilder::new(),
         wait_timeout: Duration::from_secs(60),
         open_ahead: 0,
         feedback: true,
@@ -217,7 +215,7 @@ fn adaptation_under_step_drift_survives_sabotage_and_attributes_everything() {
 
     // Tear down: release the swap hook's server handle, drain, join.
     adapter.set_swap_hook(|_| {});
-    let mut closer = Client::connect(&addr, ClientConfig::default()).expect("drain connection");
+    let mut closer = Endpoint::connect(&addr, ClientBuilder::new()).expect("drain connection");
     closer.shutdown_server().expect("drain request");
     closer
         .wait_drain(Duration::from_secs(10))

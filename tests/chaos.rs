@@ -190,7 +190,7 @@ fn chaos_corrupted_model_recovers_from_last_good_and_serves() {
 /// fault attributable — in the stats, in the report, and in the trace.
 #[test]
 fn chaos_network_hundred_connections_zero_leaks_full_attribution() {
-    use etsc::net::{run_loadgen, LoadgenOptions, NetServer, ServerConfig};
+    use etsc::net::{run_loadgen, Endpoint, LoadgenOptions, ServerBuilder};
     use etsc::obs::{EventRecord, Obs, TraceRecord};
     use std::sync::Arc;
 
@@ -210,18 +210,15 @@ fn chaos_network_hundred_connections_zero_leaks_full_attribution() {
     // retries until a panic actually fires.
     let run_once = || -> (u64, Vec<EventRecord>) {
         let obs = Obs::enabled();
-        let server = NetServer::bind(
+        let server = Endpoint::serve(
             stored.clone(),
             "127.0.0.1:0",
-            ServerConfig {
-                max_connections: 256,
-                faults: Some(server_plan.clone()),
+            ServerBuilder::new()
+                .max_connections(256)
                 // Keyed by arrival order; 100 opens are guaranteed, so
                 // panic seqs drawn below 100 always have a taker.
-                fault_horizon: 100,
-                obs: obs.clone(),
-                ..ServerConfig::default()
-            },
+                .faults(server_plan.clone(), 100)
+                .obs(obs.clone()),
         )
         .expect("bind loopback");
         let addr = server.local_addr().to_string();
@@ -340,7 +337,7 @@ fn chaos_network_hundred_connections_zero_leaks_full_attribution() {
 /// frames, trace events), and a measured failover recovery time.
 #[test]
 fn chaos_kill_a_shard_mid_stream_zero_lost_sessions_exact_migration() {
-    use etsc::net::{run_fleet, FleetOptions, RouterConfig};
+    use etsc::net::{run_fleet, FleetOptions, RouterBuilder};
     use etsc::obs::{Obs, TraceRecord};
     use etsc::serve::replicate;
     use std::sync::Arc;
@@ -371,10 +368,7 @@ fn chaos_kill_a_shard_mid_stream_zero_lost_sessions_exact_migration() {
             connections: 10,
             sessions: 100,
             faults: Some(plan),
-            router: RouterConfig {
-                obs: obs.clone(),
-                ..RouterConfig::default()
-            },
+            router: RouterBuilder::new().obs(obs.clone()),
             ..FleetOptions::default()
         },
     );

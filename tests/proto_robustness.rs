@@ -221,7 +221,7 @@ fn every_single_byte_flip_is_detected_and_structured() {
 fn rev1_peer_sending_batch_frame_gets_clean_error_reply() {
     use etsc::data::{DatasetBuilder, MultiSeries, Series};
     use etsc::eval::experiment::{AlgoSpec, RunConfig};
-    use etsc::net::{NetServer, ServerConfig};
+    use etsc::net::{Endpoint, ServerBuilder};
     use etsc::serve::fit_model;
     use std::io::Write;
     use std::sync::Arc;
@@ -241,7 +241,7 @@ fn rev1_peer_sending_batch_frame_gets_clean_error_reply() {
     }
     let data = b.build().unwrap();
     let model = Arc::new(fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap());
-    let server = NetServer::bind(model, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Endpoint::serve(model, "127.0.0.1:0", ServerBuilder::new()).unwrap();
     let addr = server.local_addr();
 
     let mut raw = std::net::TcpStream::connect(addr).unwrap();
