@@ -5,9 +5,11 @@
 //! decisions are pulled by [`Client::poll`] (non-blocking) or
 //! [`Client::wait_decision`] (bounded blocking). When the connection
 //! dies mid-stream the client dials again and *resumes*: every
-//! undecided session is re-opened with `resume = true` and its
-//! buffered observations replayed, so a transient disconnect costs
-//! latency, not answers.
+//! session still awaiting its answer is re-opened with `resume = true`
+//! and its buffered observations replayed, so a transient disconnect
+//! costs latency, not answers. Answered sessions leave that table; the
+//! newest [`ANSWER_MEMORY`] answers stay readable, so a client that
+//! runs forever holds bounded memory.
 //!
 //! The client is also where the chaos suite's network faults live:
 //! [`Client::inject_torn_frame`] (half a frame, then a hard
@@ -23,10 +25,12 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::options::ClientBuilder;
+use crate::poll::DontWait;
 use crate::proto::{
     encode_frame, DecisionKind, ErrorCode, Frame, FrameDecoder, ModelInfo, ProtoError, RetryClass,
     BATCH_MINOR, MAX_FRAME_BYTES, PRIORITY_NORMAL, PROTO_VERSION,
 };
+use crate::record::Record;
 
 /// Read-timeout granularity for the blocking pump: short enough that
 /// bounded waits stay responsive, long enough not to spin.
@@ -52,6 +56,12 @@ const RECONNECT_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Each pause is stretched by up to `1 + RECONNECT_JITTER`.
 const RECONNECT_JITTER: f64 = 0.5;
+
+/// Answers a [`Client`] keeps readable: the newest this many sessions'
+/// decisions or errors. An older answer reads like an unknown id (see
+/// [`Client::outcome`]). The same bound holds the ids a retried
+/// session left behind.
+pub const ANSWER_MEMORY: usize = 4096;
 
 /// A process-unique jitter seed per client, so concurrent clients
 /// spread out without any shared clock.
@@ -174,11 +184,11 @@ pub struct ClientStats {
     pub session_retries: u64,
 }
 
+/// A session that has no answer yet: what a resume replays.
 struct SessionState {
     expected_len: usize,
     sent: Vec<Vec<f64>>,
     send_times: Vec<Instant>,
-    outcome: Option<Result<Decision, String>>,
     /// Automatic re-opens already spent on this logical session.
     retries: u32,
 }
@@ -193,11 +203,17 @@ pub struct Client {
     stream: TcpStream,
     dec: FrameDecoder,
     meta: ModelInfo,
+    /// Sessions awaiting their answer; an answered one moves to
+    /// `answers`.
     sessions: HashMap<u64, SessionState>,
-    /// Refused-then-retried session ids, mapped to their replacement.
-    /// Late frames for the refused id stop resolving to a session;
-    /// callers holding the original id are followed to the live one.
-    aliases: HashMap<u64, u64>,
+    /// The newest [`ANSWER_MEMORY`] answers: a decision, or the
+    /// server's error message.
+    answers: Record<Result<Decision, String>>,
+    /// Refused-then-retried session ids, mapped to their replacement
+    /// (the newest [`ANSWER_MEMORY`]). Late frames for the refused id
+    /// stop resolving to a session; callers holding the original id
+    /// are followed to the live one.
+    aliases: Record<u64>,
     next_id: u64,
     /// Connection-level retryable errors already answered with a
     /// backoff + reconnect.
@@ -246,7 +262,8 @@ impl Client {
             dec,
             meta,
             sessions: HashMap::new(),
-            aliases: HashMap::new(),
+            answers: Record::new(ANSWER_MEMORY),
+            aliases: Record::new(ANSWER_MEMORY),
             next_id: 1,
             conn_retries: 0,
             draining: false,
@@ -262,7 +279,7 @@ impl Client {
         // The chain is acyclic by construction (aliases always point at
         // strictly newer ids); the bound is sheer paranoia.
         for _ in 0..64 {
-            match self.aliases.get(&cur) {
+            match self.aliases.get(cur) {
                 Some(&next) => cur = next,
                 None => break,
             }
@@ -300,7 +317,6 @@ impl Client {
                 expected_len,
                 sent: Vec::new(),
                 send_times: Vec::new(),
-                outcome: None,
                 retries: 0,
             },
         );
@@ -326,9 +342,6 @@ impl Client {
         let Some(state) = self.sessions.get_mut(&id) else {
             return Ok(());
         };
-        if state.outcome.is_some() {
-            return Ok(());
-        }
         state.sent.push(row.to_vec());
         state.send_times.push(Instant::now());
         let step = state.sent.len() as u64;
@@ -356,9 +369,6 @@ impl Client {
         let Some(state) = self.sessions.get_mut(&id) else {
             return Ok(());
         };
-        if state.outcome.is_some() {
-            return Ok(());
-        }
         let start_step = state.sent.len() as u64 + 1;
         let now = Instant::now();
         for row in rows {
@@ -388,35 +398,40 @@ impl Client {
     /// [`NetError::Closed`] when an EOF could not be healed by
     /// reconnecting.
     pub fn poll(&mut self) -> Result<(), NetError> {
-        self.stream.set_nonblocking(true).map_err(ProtoError::Io)?;
-        let result = self.pump_available();
-        let _ = self.stream.set_nonblocking(false);
-        result
+        self.pump_available()
     }
 
     /// The session's outcome, if it arrived: the decision, or the
     /// server's error message.
+    ///
+    /// Answers are kept for the newest [`ANSWER_MEMORY`] sessions
+    /// answered on this client, however long ago the caller last
+    /// looked: read an answer before that many later sessions are
+    /// answered. An older answer is forgotten and reads like an
+    /// unknown id: `None` here, [`NetError::Closed`] from
+    /// [`Client::wait_decision`].
     pub fn outcome(&self, id: u64) -> Option<&Result<Decision, String>> {
-        self.sessions
-            .get(&self.resolve(id))
-            .and_then(|s| s.outcome.as_ref())
+        self.answers.get(self.resolve(id))
     }
 
     /// Blocks (bounded by `timeout`) until session `id` has an
-    /// outcome.
+    /// outcome. Reads the same answers as [`Client::outcome`], so an
+    /// answer older than the newest [`ANSWER_MEMORY`] is gone.
     ///
     /// # Errors
     /// [`NetError::SessionFailed`] when the server answered with an
     /// error, [`NetError::Timeout`] when nothing arrived in time,
     /// [`NetError::Closed`] when the server drained or the connection
-    /// died without answering.
+    /// died without answering, or when `id` is neither awaiting an
+    /// answer nor among the answers kept (never opened, abandoned, or
+    /// answered too long ago).
     pub fn wait_decision(&mut self, id: u64, timeout: Duration) -> Result<Decision, NetError> {
         let started = Instant::now();
         loop {
             // Re-resolve every lap: a retryable refusal handled during
             // the pump below remaps the session to a fresh id.
             let cur = self.resolve(id);
-            match self.sessions.get(&cur).and_then(|s| s.outcome.as_ref()) {
+            match self.answers.get(cur) {
                 Some(Ok(d)) => return Ok(*d),
                 Some(Err(message)) => {
                     return Err(NetError::SessionFailed {
@@ -427,7 +442,9 @@ impl Client {
                 None => {}
             }
             if !self.sessions.contains_key(&cur) {
-                return Err(NetError::Closed(format!("session {id} was dropped")));
+                return Err(NetError::Closed(format!(
+                    "session {id} is not open and has no answer on record"
+                )));
             }
             if self.closed {
                 return Err(NetError::Closed(
@@ -554,9 +571,6 @@ impl Client {
         let Some(state) = self.sessions.get_mut(&id) else {
             return Ok(());
         };
-        if state.outcome.is_some() {
-            return Ok(());
-        }
         state.sent.push(row.to_vec());
         state.send_times.push(Instant::now());
         let step = state.sent.len() as u64;
@@ -621,7 +635,7 @@ impl Client {
         loop {
             match self.dec.next_frame() {
                 Ok(Some(frame)) => self.dispatch(frame)?,
-                Ok(None) => match self.dec.read_from(&mut self.stream) {
+                Ok(None) => match self.dec.read_from(&mut DontWait(&self.stream)) {
                     Ok(0) => return self.on_eof(),
                     Ok(_) => {}
                     Err(ProtoError::Io(e))
@@ -692,9 +706,11 @@ impl Client {
                 message,
                 retry,
             } => {
-                let retryable = self.sessions.get(&id).is_some_and(|s| {
-                    s.outcome.is_none() && s.retries < self.config.open_retry_budget
-                }) && retry.is_retryable();
+                let retryable = self
+                    .sessions
+                    .get(&id)
+                    .is_some_and(|s| s.retries < self.config.open_retry_budget)
+                    && retry.is_retryable();
                 if retryable {
                     // A refused-but-retryable session (session cap,
                     // overload) re-opens under a fresh id after the
@@ -702,14 +718,11 @@ impl Client {
                     // no longer resolve to anything.
                     return self.retry_session(id, retry.retry_after().unwrap_or_default());
                 }
-                if let Some(state) = self.sessions.get_mut(&id) {
-                    // First outcome wins: an advisory error answering
-                    // late feedback must not clobber a real decision.
-                    if state.outcome.is_none() {
-                        state.outcome = Some(Err(format!("[{code}] {message}")));
-                        state.sent = Vec::new();
-                        state.send_times = Vec::new();
-                    }
+                // First outcome wins: only a session still awaiting its
+                // answer takes one, so an advisory error answering late
+                // feedback never clobbers a real decision.
+                if self.sessions.remove(&id).is_some() {
+                    self.answers.insert(id, Err(format!("[{code}] {message}")));
                 }
                 Ok(())
             }
@@ -754,10 +767,11 @@ impl Client {
     }
 
     /// Commits one verdict (single frame or batch member) against its
-    /// session: record the decision, compute end-to-end latency from
-    /// the triggering observation's send time, free the replay buffer.
+    /// session: compute end-to-end latency from the triggering
+    /// observation's send time, then move the session from the ones
+    /// awaiting an answer (and its replay buffer) to the answers.
     fn on_decision(&mut self, session: u64, label: u64, prefix_len: u64, kind: DecisionKind) {
-        if let Some(state) = self.sessions.get_mut(&session) {
+        if let Some(state) = self.sessions.remove(&session) {
             let trigger = (prefix_len as usize)
                 .saturating_sub(1)
                 .min(state.send_times.len().saturating_sub(1));
@@ -766,15 +780,15 @@ impl Client {
                 .get(trigger)
                 .map(|t| t.elapsed())
                 .unwrap_or_default();
-            state.outcome = Some(Ok(Decision {
-                label: label as usize,
-                prefix_len: prefix_len as usize,
-                kind,
-                latency,
-            }));
-            // The replay buffer is dead weight once answered.
-            state.sent = Vec::new();
-            state.send_times = Vec::new();
+            self.answers.insert(
+                session,
+                Ok(Decision {
+                    label: label as usize,
+                    prefix_len: prefix_len as usize,
+                    kind,
+                    latency,
+                }),
+            );
         }
     }
 
@@ -829,8 +843,9 @@ impl Client {
         Ok(())
     }
 
-    /// Dials again and resumes every undecided session by re-opening
-    /// it with `resume = true` and replaying its buffered rows.
+    /// Dials again and resumes every session awaiting its answer by
+    /// re-opening it with `resume = true` and replaying its buffered
+    /// rows.
     fn reconnect(&mut self) -> Result<(), NetError> {
         if self.draining {
             self.closed = true;
@@ -871,12 +886,7 @@ impl Client {
     fn replay_sessions(&mut self, stream: &mut TcpStream) -> Result<(), ProtoError> {
         let max = MAX_FRAME_BYTES;
         let now = Instant::now();
-        let mut ids: Vec<u64> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.outcome.is_none())
-            .map(|(&id, _)| id)
-            .collect();
+        let mut ids: Vec<u64> = self.sessions.keys().copied().collect();
         ids.sort_unstable();
         let vars = self.meta.vars;
         let deadline_ms = self.config.deadline_ms;

@@ -25,12 +25,14 @@
 //!   a decision on the observed prefix, panic containment) with
 //!   lossless backpressure on the outbound queue (a full queue pauses
 //!   the connection's reads), static connection and session caps that refuse
-//!   at the edge, expired-deadline discard of queued dead work, seeded
+//!   at the edge (the session cap also bounds the finished sessions a
+//!   connection remembers), expired-deadline discard of queued dead work, seeded
 //!   server-side fault injection, `etsc-obs` instrumentation, and
 //!   graceful drain — in-flight sessions answered, new connections
 //!   refused;
 //! * [`client`] — a blocking client library multiplexing many sessions
 //!   over one connection, with reconnect-and-resume of open sessions,
+//!   the newest [`ANSWER_MEMORY`] answers kept readable,
 //!   budgeted jittered retries honouring the server's `retry_after_ms`
 //!   hints, and the client-side fault hooks (torn frames, slow-loris
 //!   writes, mid-session disconnects) the chaos suite drives;
@@ -67,10 +69,11 @@ pub mod loadgen;
 pub mod options;
 pub mod poll;
 pub mod proto;
+mod record;
 pub mod router;
 pub mod server;
 
-pub use client::{Client, Decision, NetError};
+pub use client::{Client, Decision, NetError, ANSWER_MEMORY};
 pub use fleet::{run_fleet, FleetOptions, FleetReport, ShardReport};
 pub use loadgen::{run_loadgen, LoadReport, LoadgenOptions};
 pub use options::{ClientBuilder, ConfigError, Endpoint, RouterBuilder, ServerBuilder};

@@ -130,6 +130,12 @@ impl ServerBuilder {
 
     /// Open sessions per connection before `SessionLimit` refusals
     /// (default 1024).
+    ///
+    /// The same number bounds the finished sessions a connection
+    /// remembers: the newest `n` decided, failed or closed ids. A late
+    /// frame for one of them is ignored, and a decided one keeps its
+    /// verdict for late `Feedback`; a frame for an id finished longer
+    /// ago is refused with `UnknownSession`, like an id never opened.
     #[must_use]
     pub fn max_sessions_per_conn(mut self, n: usize) -> Self {
         self.max_sessions_per_conn = n;

@@ -36,6 +36,8 @@ const EPOLLRDHUP: u32 = 0x2000;
 const O_NONBLOCK: i32 = 0o4000;
 const O_CLOEXEC: i32 = 0o2000000;
 
+const MSG_DONTWAIT: i32 = 0x40;
+
 /// `struct epoll_event`. Packed on x86_64 (kernel ABI quirk), natural
 /// alignment everywhere else.
 #[repr(C)]
@@ -54,6 +56,7 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -61,6 +64,33 @@ fn cvt(ret: i32) -> io::Result<i32> {
         Err(io::Error::last_os_error())
     } else {
         Ok(ret)
+    }
+}
+
+/// Reads a socket without blocking, whatever its mode: each read is one
+/// `recv(2)` with `MSG_DONTWAIT`, and an empty socket reports
+/// `WouldBlock`. A socket that blocks everywhere else can be polled
+/// this way without the two mode switches of `set_nonblocking`.
+pub(crate) struct DontWait<'a>(pub(crate) &'a std::net::TcpStream);
+
+impl io::Read for DontWait<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        use std::os::fd::AsRawFd as _;
+        // SAFETY: `buf` is valid for writes of `buf.len()` bytes, and
+        // the descriptor is open for as long as the borrowed stream.
+        let n = unsafe {
+            recv(
+                self.0.as_raw_fd(),
+                buf.as_mut_ptr(),
+                buf.len(),
+                MSG_DONTWAIT,
+            )
+        };
+        if n < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(n as usize)
+        }
     }
 }
 
@@ -396,6 +426,34 @@ mod tests {
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == WAKE_TOKEN));
+    }
+
+    #[test]
+    fn dont_wait_reads_a_blocking_socket_without_blocking() {
+        use std::io::Read as _;
+        let (mut a, b) = pair();
+        let mut buf = [0u8; 8];
+        let empty = DontWait(&b).read(&mut buf).unwrap_err();
+        assert_eq!(empty.kind(), io::ErrorKind::WouldBlock);
+        a.write_all(b"hi").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let n = loop {
+            match DontWait(&b).read(&mut buf) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && Instant::now() < deadline => {}
+                Err(e) => panic!("recv failed: {e}"),
+            }
+        };
+        assert_eq!(&buf[..n], b"hi");
+        drop(a);
+        let eof = loop {
+            match DontWait(&b).read(&mut buf) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && Instant::now() < deadline => {}
+                Err(e) => panic!("recv failed: {e}"),
+            }
+        };
+        assert_eq!(eof, 0, "EOF reads as zero bytes");
     }
 
     #[test]

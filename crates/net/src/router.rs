@@ -41,6 +41,7 @@ use crate::proto::{
     write_frame, ErrorCode, Frame, FrameDecoder, ModelInfo, ProtoError, MAX_FRAME_BYTES,
     PROTO_VERSION,
 };
+use crate::record::Record;
 
 /// Poller token for the socket a connection thread serves (client side)
 /// or the accept loop's listener; upstream tokens start above it.
@@ -930,8 +931,9 @@ struct Routed {
     rows: Vec<(u64, Vec<f64>)>,
 }
 
-/// Decided sessions the router remembers so late `Feedback` frames can
-/// reach the shard that made the call.
+/// Finished sessions a router connection remembers: late frames for
+/// them are ignored, and late `Feedback` reaches the shard that made
+/// the call.
 const DECIDED_MEMORY: usize = 1024;
 
 struct RouterConn<'r> {
@@ -940,11 +942,10 @@ struct RouterConn<'r> {
     client: TcpStream,
     upstreams: HashMap<String, Upstream>,
     sessions: HashMap<u64, Routed>,
-    finished: HashSet<u64>,
-    /// Session id → address of the shard that decided it, FIFO-bounded
-    /// by [`DECIDED_MEMORY`].
-    decided_addr: HashMap<u64, String>,
-    decided_order: VecDeque<u64>,
+    /// The newest [`DECIDED_MEMORY`] sessions that left `sessions`,
+    /// with the address of the shard that decided each (`None` for a
+    /// failed or abandoned one, or once its feedback was forwarded).
+    retired: Record<Option<String>>,
     said_hello: bool,
     /// Drives this thread's sockets: client under [`CLIENT_TOKEN`],
     /// upstreams under the tokens in `tokens`.
@@ -974,9 +975,7 @@ fn connection_thread(shared: &Arc<RouterShared>, stream: TcpStream, conn_id: u64
         client: stream,
         upstreams: HashMap::new(),
         sessions: HashMap::new(),
-        finished: HashSet::new(),
-        decided_addr: HashMap::new(),
-        decided_order: VecDeque::new(),
+        retired: Record::new(DECIDED_MEMORY),
         said_hello: false,
         poller,
         tokens: HashMap::new(),
@@ -1128,7 +1127,7 @@ impl<'r> RouterConn<'r> {
             }
             Frame::CloseSession { session } => {
                 if let Some(routed) = self.sessions.remove(&session) {
-                    self.finished.insert(session);
+                    self.retired.insert(session, None);
                     routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
                     self.shared.stats.sessions_abandoned.inc();
                     let addr = routed.addr.clone();
@@ -1192,7 +1191,7 @@ impl<'r> RouterConn<'r> {
             ));
             return;
         }
-        self.finished.remove(&id);
+        self.retired.remove(id);
         let mut exclude = HashSet::new();
         let Some(addr) = self.pick_and_connect(self.session_key(id), &mut exclude) else {
             self.send_client(&Frame::error(
@@ -1201,7 +1200,7 @@ impl<'r> RouterConn<'r> {
                 "no healthy shard available",
             ));
             self.shared.stats.sessions_failed.inc();
-            self.finished.insert(id);
+            self.retired.insert(id, None);
             return;
         };
         let Some(up) = self.upstreams.get(&addr) else {
@@ -1213,7 +1212,7 @@ impl<'r> RouterConn<'r> {
                 "no healthy shard available",
             ));
             self.shared.stats.sessions_failed.inc();
-            self.finished.insert(id);
+            self.retired.insert(id, None);
             return;
         };
         let shard = Arc::clone(&up.shard);
@@ -1258,15 +1257,8 @@ impl<'r> RouterConn<'r> {
     }
 
     fn observe(&mut self, session: u64, step: u64, row: Vec<f64>, deadline_ms: u64) {
-        if self.finished.contains(&session) {
-            return; // late frame for a decided/abandoned session
-        }
         let Some(routed) = self.sessions.get_mut(&session) else {
-            self.send_client(&Frame::error(
-                ErrorCode::UnknownSession,
-                Some(session),
-                format!("observe for session {session} which was never opened"),
-            ));
+            self.refuse_unless_retired(session);
             return;
         };
         routed.rows.push((deadline_ms, row.clone()));
@@ -1298,15 +1290,11 @@ impl<'r> RouterConn<'r> {
         rows: Vec<Vec<f64>>,
         deadline_ms: u64,
     ) {
-        if rows.is_empty() || self.finished.contains(&session) {
+        if rows.is_empty() {
             return;
         }
         let Some(routed) = self.sessions.get_mut(&session) else {
-            self.send_client(&Frame::error(
-                ErrorCode::UnknownSession,
-                Some(session),
-                format!("observe for session {session} which was never opened"),
-            ));
+            self.refuse_unless_retired(session);
             return;
         };
         for row in &rows {
@@ -1328,12 +1316,26 @@ impl<'r> RouterConn<'r> {
         }
     }
 
+    /// Answers a frame for `session`, which is not open: a late frame
+    /// for a recently retired session is ignored; an id never opened,
+    /// or retired longer ago than the record reaches, is refused.
+    fn refuse_unless_retired(&mut self, session: u64) {
+        if !self.retired.contains(session) {
+            self.send_client(&Frame::error(
+                ErrorCode::UnknownSession,
+                Some(session),
+                format!("observe for session {session}, which is not open on this connection"),
+            ));
+        }
+    }
+
     /// Forwards ground truth to the shard that decided the session.
     /// Feedback is advisory: if that shard is gone (or the memory of
     /// who decided has aged out), the frame is dropped with a
     /// structured error, never a teardown.
     fn feedback(&mut self, session: u64, label: u64) {
-        let Some(addr) = self.decided_addr.remove(&session) else {
+        // Forwarded once: the id stays retired, its shard address goes.
+        let Some(addr) = self.retired.get_mut(session).and_then(Option::take) else {
             self.send_client(&Frame::error(
                 ErrorCode::UnknownSession,
                 Some(session),
@@ -1503,16 +1505,9 @@ impl<'r> RouterConn<'r> {
         if let Some(routed) = self.sessions.remove(&session) {
             routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
         }
-        self.finished.insert(session);
         // Remember who decided so late feedback finds the shard whose
         // reservoir should learn from it.
-        if self.decided_addr.len() >= DECIDED_MEMORY {
-            if let Some(oldest) = self.decided_order.pop_front() {
-                self.decided_addr.remove(&oldest);
-            }
-        }
-        self.decided_addr.insert(session, addr.to_string());
-        self.decided_order.push_back(session);
+        self.retired.insert(session, Some(addr.to_string()));
         self.shared.stats.sessions_decided.inc();
         self.send_client(&frame);
     }
@@ -1558,7 +1553,7 @@ impl<'r> RouterConn<'r> {
                     if let Some(routed) = self.sessions.remove(&id) {
                         routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
                     }
-                    self.finished.insert(id);
+                    self.retired.insert(id, None);
                     self.shared.stats.sessions_failed.inc();
                     self.send_client(&frame);
                 }
@@ -1842,7 +1837,7 @@ impl<'r> RouterConn<'r> {
             return;
         };
         routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
-        self.finished.insert(id);
+        self.retired.insert(id, None);
         self.shared.stats.sessions_failed.inc();
         self.send_client(&Frame::error(code, Some(id), message));
     }
@@ -1892,8 +1887,7 @@ impl<'r> RouterConn<'r> {
     /// error). Returns how many sessions were abandoned.
     fn abandon_all(&mut self) -> usize {
         let n = self.sessions.len();
-        for (id, routed) in self.sessions.drain() {
-            self.finished.insert(id);
+        for (_, routed) in self.sessions.drain() {
             routed.shard.resident.fetch_sub(1, Ordering::SeqCst);
             self.shared.stats.sessions_abandoned.inc();
         }

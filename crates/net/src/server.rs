@@ -20,7 +20,7 @@
 //! it, and a graceful drain that force-decides in-flight sessions
 //! before the socket closes.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -42,6 +42,7 @@ use crate::proto::{
     encode_frame, BatchDecision, BufferPool, DecisionKind, ErrorCode, Frame, FrameDecoder,
     ModelInfo, ProtoError, BATCH_MINOR, MAX_FRAME_BYTES, PROTO_MINOR, PROTO_VERSION,
 };
+use crate::record::Record;
 
 /// Poller token reserved for the listener (loop 0 only).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
@@ -660,6 +661,7 @@ impl EventLoop {
         }
         let now = Instant::now();
         let cap = shared.config.max_pending_frames.max(1);
+        let retired = Record::new(shared.config.max_sessions_per_conn);
         let conn = Conn {
             shared,
             stream,
@@ -683,9 +685,7 @@ impl EventLoop {
             closing: None,
             pending_decisions: Vec::new(),
             table: SessionTable::new(gen.model.classifier(), gen.batch, gen.info.prior_label),
-            finished: HashSet::new(),
-            decided: HashMap::new(),
-            decided_order: VecDeque::new(),
+            retired,
             want_read: true,
             want_write: false,
             gen_pin,
@@ -876,14 +876,11 @@ struct Conn {
     pending_decisions: Vec<BatchDecision>,
     /// Open sessions, evaluated against the pinned generation.
     table: SessionTable<'static>,
-    /// Ids that reached a terminal state; late frames for them are
-    /// ignored rather than UnknownSession errors.
-    finished: HashSet<u64>,
-    /// Verdicts (and, when a feedback sink is configured, the observed
-    /// series) of decided sessions, retained so late ground truth can
-    /// be graded. FIFO-bounded by `max_sessions_per_conn`.
-    decided: HashMap<u64, DecidedInfo>,
-    decided_order: VecDeque<u64>,
+    /// The newest `max_sessions_per_conn` sessions that left `table`
+    /// (decided, failed or closed): a late frame for one is ignored
+    /// rather than refused with `UnknownSession`, and a decided one
+    /// keeps its verdict until late ground truth grades it.
+    retired: Record<Option<DecidedInfo>>,
     want_read: bool,
     want_write: bool,
     /// Keeps the pinned generation alive. Declared last so every
@@ -1115,16 +1112,16 @@ impl Conn {
                     return Handled::Ok;
                 }
                 for (i, row) in rows.iter().enumerate() {
-                    // A mid-batch decision (or failure) moves the
-                    // session to `finished`; the remaining rows fall
-                    // through `observe`'s late-frame skip.
+                    // A mid-batch decision (or failure) retires the
+                    // session; the remaining rows fall through
+                    // `observe`'s late-frame skip.
                     self.observe(session, start_step + i as u64, row, deadline_ms);
                 }
                 Handled::Observe
             }
             Frame::CloseSession { session } => {
                 if self.table.remove(session).is_some() {
-                    self.finished.insert(session);
+                    self.retired.insert(session, None);
                     shared.stats.sessions_abandoned.inc();
                 }
                 Handled::Ok
@@ -1211,7 +1208,7 @@ impl Conn {
             return;
         }
         // A resume makes the id live again.
-        self.finished.remove(&id);
+        self.retired.remove(id);
         let deadline = self.effective_deadline(deadline_ms);
         let seq = shared.session_seq.fetch_add(1, Ordering::SeqCst) as usize;
         if let Err(e) = self.table.open(id, seq, vars, expected_len, deadline) {
@@ -1239,15 +1236,17 @@ impl Conn {
 
     fn observe(&mut self, id: u64, step: u64, row: &[f64], deadline_ms: u64) {
         let shared = Arc::clone(&self.shared);
-        if self.finished.contains(&id) {
-            return; // late frame for a decided/abandoned session
-        }
         let Some(session) = self.table.session(id) else {
-            self.send(Frame::error(
-                ErrorCode::UnknownSession,
-                Some(id),
-                format!("observe for session {id} which was never opened"),
-            ));
+            // A late frame for a recently retired session is ignored;
+            // an id never opened, or retired longer ago than the
+            // record reaches, is refused.
+            if !self.retired.contains(id) {
+                self.send(Frame::error(
+                    ErrorCode::UnknownSession,
+                    Some(id),
+                    format!("observe for session {id}, which is not open on this connection"),
+                ));
+            }
             return;
         };
         let expected_step = session.observed() as u64 + 1;
@@ -1324,7 +1323,6 @@ impl Conn {
     fn finish_decided(&mut self, id: u64, prediction: EarlyPrediction, forced: bool, drain: bool) {
         let shared = Arc::clone(&self.shared);
         let removed = self.table.remove(id);
-        self.finished.insert(id);
         let (label, prefix_len) = (prediction.label as u64, prediction.prefix_len as u64);
         let kind = decision_kind(forced, drain, prefix_len);
         // Remember the verdict so late ground truth can be graded; the
@@ -1333,20 +1331,14 @@ impl Conn {
             (Some(_), Some(session)) => session.series().to_vec(),
             _ => Vec::new(),
         };
-        if self.decided.len() >= shared.config.max_sessions_per_conn {
-            if let Some(oldest) = self.decided_order.pop_front() {
-                self.decided.remove(&oldest);
-            }
-        }
-        self.decided.insert(
+        self.retired.insert(
             id,
-            DecidedInfo {
+            Some(DecidedInfo {
                 label,
                 prefix_len,
                 rows,
-            },
+            }),
         );
-        self.decided_order.push_back(id);
         shared.stats.sessions_decided.inc();
         if drain {
             shared.stats.drain_decisions.inc();
@@ -1400,7 +1392,7 @@ impl Conn {
     /// teardown.
     fn feedback(&mut self, id: u64, truth: u64) {
         let shared = Arc::clone(&self.shared);
-        if !self.decided.contains_key(&id) {
+        if !matches!(self.retired.get(id), Some(Some(_))) {
             self.send(Frame::error(
                 ErrorCode::UnknownSession,
                 Some(id),
@@ -1417,8 +1409,9 @@ impl Conn {
             ));
             return;
         }
-        let Some(info) = self.decided.remove(&id) else {
-            return; // unreachable: containment checked above
+        // Graded once: the id stays retired, its verdict goes.
+        let Some(info) = self.retired.get_mut(id).and_then(Option::take) else {
+            return; // unreachable: checked above
         };
         shared.stats.feedback_received.inc();
         let correct = info.label == truth;
@@ -1449,7 +1442,7 @@ impl Conn {
         let shared = Arc::clone(&self.shared);
         let seq = self.seq_of(id);
         self.table.remove(id);
-        self.finished.insert(id);
+        self.retired.insert(id, None);
         shared.stats.sessions_failed.inc();
         shared.config.obs.tracer.event_under(
             "net.session.fail",
@@ -1490,8 +1483,7 @@ impl Conn {
     fn abandon_all(&mut self) -> usize {
         let shared = Arc::clone(&self.shared);
         let n = self.table.len();
-        for (id, _) in self.table.drain() {
-            self.finished.insert(id);
+        for _ in self.table.drain() {
             shared.stats.sessions_abandoned.inc();
         }
         n

@@ -47,6 +47,24 @@ fn stream_instance(client: &mut Client, data: &Dataset, i: usize) -> etsc_net::D
     client.wait_decision(id, Duration::from_secs(20)).unwrap()
 }
 
+/// The next frame on a raw connection, within five seconds.
+fn next_raw_frame(
+    raw: &mut std::net::TcpStream,
+    dec: &mut etsc_net::FrameDecoder,
+) -> etsc_net::Frame {
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    loop {
+        if let Some(frame) = dec.next_frame().unwrap() {
+            return frame;
+        }
+        match dec.read_from(raw) {
+            Ok(0) => panic!("connection closed while a frame was due"),
+            Ok(_) => {}
+            Err(e) => panic!("read failed (5 s timeout): {e}"),
+        }
+    }
+}
+
 #[test]
 fn loopback_decisions_match_offline_predictions() {
     let (server, data) = serve_synthetic(ServerBuilder::new());
@@ -153,7 +171,7 @@ fn graceful_drain_answers_in_flight_sessions() {
 
 #[test]
 fn version_mismatch_is_refused() {
-    use etsc_net::{encode_frame, Frame, FrameDecoder, ProtoError, MAX_FRAME_BYTES};
+    use etsc_net::{encode_frame, Frame, FrameDecoder, MAX_FRAME_BYTES};
     use std::io::{Read, Write};
 
     let (server, _data) = serve_synthetic(ServerBuilder::new());
@@ -167,20 +185,8 @@ fn version_mismatch_is_refused() {
     };
     raw.write_all(&encode_frame(&hello, MAX_FRAME_BYTES).unwrap())
         .unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut dec = FrameDecoder::new(MAX_FRAME_BYTES);
-    let reply = loop {
-        if let Some(f) = dec.next_frame().unwrap() {
-            break f;
-        }
-        match dec.read_from(&mut raw) {
-            Ok(0) => panic!("connection closed without an error frame"),
-            Ok(_) => {}
-            Err(ProtoError::Io(e)) => panic!("read failed: {e}"),
-            Err(e) => panic!("decode failed: {e}"),
-        }
-    };
-    match reply {
+    match next_raw_frame(&mut raw, &mut dec) {
         Frame::Error { code, message, .. } => {
             assert_eq!(code, ErrorCode::BadFrame);
             assert!(message.contains("protocol"), "{message}");
@@ -192,4 +198,144 @@ fn version_mismatch_is_refused() {
     let _ = raw.read_to_end(&mut rest);
     let stats = server.join();
     assert_eq!(stats.proto_errors, 1);
+}
+
+#[test]
+fn client_forgets_answers_older_than_its_memory() {
+    let (server, data) = serve_synthetic(ServerBuilder::new());
+    let addr = server.local_addr().to_string();
+    let model = fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap();
+    let mut client = Endpoint::connect(&addr, ClientBuilder::new()).unwrap();
+    let total = etsc_net::ANSWER_MEMORY + 1;
+    let rows = |i: usize| -> Vec<Vec<f64>> {
+        let inst = data.instance(i % data.len());
+        (0..inst.len())
+            .map(|t| (0..inst.vars()).map(|v| inst.at(v, t)).collect())
+            .collect()
+    };
+    // Sessions in waves of 256, each answered before the next wave
+    // opens: one connection answers them in the order they were sent.
+    let mut ids = Vec::with_capacity(total);
+    for wave in (0..total).collect::<Vec<_>>().chunks(256) {
+        let first = ids.len();
+        for &i in wave {
+            let id = client
+                .open_session(data.instance(i % data.len()).len())
+                .unwrap();
+            client.observe_batch(id, &rows(i)).unwrap();
+            ids.push(id);
+        }
+        for &id in &ids[first..] {
+            client.wait_decision(id, Duration::from_secs(20)).unwrap();
+        }
+    }
+    // The oldest answer went when the newest arrived: it reads like an
+    // id this client never opened.
+    assert!(client.outcome(ids[0]).is_none());
+    match client.wait_decision(ids[0], Duration::from_secs(1)) {
+        Err(NetError::Closed(_)) => {}
+        other => panic!("expected the first answer to be forgotten, got {other:?}"),
+    }
+    // The newest ANSWER_MEMORY answers all still read back.
+    assert!(client.outcome(ids[1]).is_some());
+    let newest = total - 1;
+    let offline = model
+        .classifier()
+        .predict_early(data.instance(newest % data.len()))
+        .unwrap();
+    match client.outcome(ids[newest]) {
+        Some(Ok(d)) => assert_eq!((d.label, d.prefix_len), (offline.label, offline.prefix_len)),
+        other => panic!("newest answer missing: {other:?}"),
+    }
+    drop(client);
+    let stats = server.join();
+    assert_eq!(stats.sessions_decided, total as u64);
+    assert_eq!(stats.open_sessions(), 0, "{stats:?}");
+}
+
+#[test]
+fn server_refuses_late_frames_older_than_its_record() {
+    use etsc_net::{
+        encode_frame, Frame, FrameDecoder, MAX_FRAME_BYTES, PRIORITY_NORMAL, PROTO_MINOR,
+        PROTO_VERSION,
+    };
+    use std::io::Write;
+
+    // One open session per connection, so the record of finished
+    // sessions holds one id too.
+    let (server, data) = serve_synthetic(ServerBuilder::new().max_sessions_per_conn(1));
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut dec = FrameDecoder::new(MAX_FRAME_BYTES);
+    let send = |raw: &mut std::net::TcpStream, frame: Frame| {
+        raw.write_all(&encode_frame(&frame, MAX_FRAME_BYTES).unwrap())
+            .unwrap();
+    };
+    send(
+        &mut raw,
+        Frame::Hello {
+            version: PROTO_VERSION,
+            minor: PROTO_MINOR,
+            agent: "raw".to_string(),
+            meta: None,
+        },
+    );
+    assert!(matches!(
+        next_raw_frame(&mut raw, &mut dec),
+        Frame::Hello { .. }
+    ));
+    // Sessions 1 and 2 decide one after the other; the whole series
+    // goes in one batch, so rows past each decision are late already.
+    for id in [1u64, 2] {
+        let inst = data.instance(id as usize);
+        send(
+            &mut raw,
+            Frame::OpenSession {
+                id,
+                vars: inst.vars(),
+                expected_len: inst.len(),
+                resume: false,
+                deadline_ms: 0,
+                priority: PRIORITY_NORMAL,
+            },
+        );
+        send(
+            &mut raw,
+            Frame::ObserveBatch {
+                session: id,
+                start_step: 1,
+                rows: (0..inst.len())
+                    .map(|t| (0..inst.vars()).map(|v| inst.at(v, t)).collect())
+                    .collect(),
+                deadline_ms: 0,
+            },
+        );
+        match next_raw_frame(&mut raw, &mut dec) {
+            Frame::Decision { session, .. } => assert_eq!(session, id),
+            other => panic!("expected session {id}'s decision, got {other:?}"),
+        }
+    }
+    // A late row for session 2, decided last, is ignored; one for
+    // session 1, evicted from the record by session 2, is refused. The
+    // refusal is the first frame back, so session 2's row drew none.
+    for session in [2u64, 1] {
+        send(
+            &mut raw,
+            Frame::Observe {
+                session,
+                step: 99,
+                row: vec![0.0],
+                deadline_ms: 0,
+            },
+        );
+    }
+    match next_raw_frame(&mut raw, &mut dec) {
+        Frame::Error { code, session, .. } => {
+            assert_eq!((code, session), (ErrorCode::UnknownSession, Some(1)));
+        }
+        other => panic!("expected UnknownSession for session 1, got {other:?}"),
+    }
+    drop(raw);
+    let stats = server.join();
+    assert_eq!(stats.sessions_decided, 2);
+    assert_eq!(stats.open_sessions(), 0, "{stats:?}");
 }

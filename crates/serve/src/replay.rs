@@ -208,7 +208,7 @@ impl ReplayOutcome {
              decisions      {} committed, {} dropped\n\
              accuracy       {:.4}\n\
              earliness      {:.4}\n\
-             latency        mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms\n\
+             latency        mean {:.3} us, p50 {:.3} us, p99 {:.3} us\n\
              throughput     {:.0} decisions/s\n\
              online ratio   {} at {} s/obs x batch {} -> {}\n",
             self.algo.name(),
@@ -218,9 +218,9 @@ impl ReplayOutcome {
             self.report.dropped_decisions,
             self.accuracy,
             self.earliness,
-            self.mean_latency_secs * 1000.0,
-            self.p50_latency_secs * 1000.0,
-            self.p99_latency_secs * 1000.0,
+            self.mean_latency_secs * 1e6,
+            self.p50_latency_secs * 1e6,
+            self.p99_latency_secs * 1e6,
             self.decisions_per_sec,
             self.measured_ratio
                 .map_or("n/a".to_owned(), |r| format!("{r:.4}")),
@@ -555,6 +555,16 @@ mod tests {
         assert!(slow.accuracy > 0.0);
         let text = slow.render();
         assert!(text.contains("feasible"), "{text}");
+        // Sub-microsecond evaluations must not round to nothing: the
+        // rendered median is in microseconds with three decimals.
+        let p50 = text
+            .split("p50 ")
+            .nth(1)
+            .and_then(|rest| rest.split(" us").next())
+            .unwrap_or_else(|| panic!("no p50 in {text}"));
+        if slow.p50_latency_secs > 0.0 {
+            assert_ne!(p50, "0.000", "{text}");
+        }
 
         // Impossible observation interval: the same latencies are
         // infeasible.
