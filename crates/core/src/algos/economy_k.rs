@@ -76,16 +76,59 @@ struct Model {
     classifiers: Vec<Box<dyn Classifier + Send + Sync>>,
     /// `expected_error[g][t-1]`: within cluster `g`, the probability that
     /// the prefix-`t` classifier mislabels a series (marginalised over the
-    /// cluster's class distribution).
+    /// cluster's class distribution). This is the stored layout.
     expected_error: Vec<Vec<f64>>,
+    /// The same table horizon-major, `error_by_horizon[(t-1)*k + g]`, so
+    /// a horizon scan reads one contiguous run. Derived, never stored.
+    error_by_horizon: Vec<f64>,
     len: usize,
 }
 
 impl Model {
-    /// Soft cluster membership of a prefix against truncated centroids.
+    /// A candidate, with its horizon-major error table derived.
+    ///
+    /// # Errors
+    /// A description of the mismatch when the tables do not fit `len`
+    /// and the k centroids: a fit never builds such a model, so only a
+    /// corrupt store reaches this.
+    fn new(
+        kmeans: KMeans,
+        classifiers: Vec<Box<dyn Classifier + Send + Sync>>,
+        expected_error: Vec<Vec<f64>>,
+        len: usize,
+    ) -> Result<Model, String> {
+        if expected_error.len() != kmeans.k()
+            || expected_error.iter().any(|row| row.len() != len)
+            || kmeans.centroids().iter().any(|c| c.len() < len)
+            || classifiers.len() != len
+        {
+            return Err(format!(
+                "ECONOMY-K tables do not fit {} centroids and length {len}",
+                kmeans.k()
+            ));
+        }
+        let error_by_horizon = (0..len)
+            .flat_map(|t| expected_error.iter().map(move |row| row[t]))
+            .collect();
+        Ok(Model {
+            kmeans,
+            classifiers,
+            expected_error,
+            error_by_horizon,
+            len,
+        })
+    }
+
+    /// Clusters, one membership weight each.
+    fn k(&self) -> usize {
+        self.expected_error.len()
+    }
+
+    /// Soft cluster membership of a whole prefix against truncated
+    /// centroids: the reference a stream's running sums must match.
     fn membership(&self, prefix: &[f64]) -> Vec<f64> {
         let t = prefix.len();
-        let dists: Vec<f64> = self
+        let sums: Vec<f64> = self
             .kmeans
             .centroids()
             .iter()
@@ -95,41 +138,58 @@ impl Model {
                     .zip(&c[..t])
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum::<f64>()
-                    .sqrt()
             })
             .collect();
-        if let Some(hit) = dists.iter().position(|&d| d < 1e-12) {
-            let mut p = vec![0.0; dists.len()];
-            p[hit] = 1.0;
-            return p;
-        }
-        let inv: Vec<f64> = dists.iter().map(|&d| 1.0 / d).collect();
-        let total: f64 = inv.iter().sum();
-        inv.into_iter().map(|v| v / total).collect()
+        let mut membership = vec![0.0; sums.len()];
+        normalise(&sums, &mut membership);
+        membership
     }
 
-    /// Expected cost of deciding at horizon `t + tau` for a prefix with
-    /// the given cluster membership.
+    /// Expected cost of deciding at `horizon` for a prefix with the
+    /// given cluster membership.
     fn cost(&self, membership: &[f64], horizon: usize, lambda: f64, time_cost: f64) -> f64 {
-        let err: f64 = membership
-            .iter()
-            .enumerate()
-            .map(|(g, &p)| p * self.expected_error[g][horizon - 1])
-            .sum();
+        let k = membership.len();
+        let errors = &self.error_by_horizon[(horizon - 1) * k..horizon * k];
+        let err: f64 = membership.iter().zip(errors).map(|(&p, &e)| p * e).sum();
         lambda * err + time_cost * horizon as f64
     }
 
-    /// `true` when the cost of deciding now is minimal over all horizons.
-    fn should_decide_now(&self, prefix: &[f64], lambda: f64, time_cost: f64) -> bool {
-        let t = prefix.len();
-        let membership = self.membership(prefix);
-        let now = self.cost(&membership, t, lambda, time_cost);
-        for tau in 1..=(self.len - t) {
-            if self.cost(&membership, t + tau, lambda, time_cost) < now {
+    /// `true` when deciding at prefix length `t` costs no more than at
+    /// any later horizon. The scan stops at the first cheaper one.
+    fn decide_now(&self, membership: &[f64], t: usize, lambda: f64, time_cost: f64) -> bool {
+        let now = self.cost(membership, t, lambda, time_cost);
+        for horizon in t + 1..=self.len {
+            if self.cost(membership, horizon, lambda, time_cost) < now {
                 return false;
             }
         }
         true
+    }
+
+    /// [`Model::decide_now`] for a whole prefix.
+    fn should_decide_now(&self, prefix: &[f64], lambda: f64, time_cost: f64) -> bool {
+        self.decide_now(&self.membership(prefix), prefix.len(), lambda, time_cost)
+    }
+}
+
+/// Soft cluster membership from each centroid's squared distance to the
+/// prefix, written to `membership`: weights inverse to the distance, or
+/// all on the first centroid the prefix lies on.
+fn normalise(squared: &[f64], membership: &mut [f64]) {
+    for (m, &s) in membership.iter_mut().zip(squared) {
+        *m = s.sqrt();
+    }
+    if let Some(hit) = membership.iter().position(|&d| d < 1e-12) {
+        membership.fill(0.0);
+        membership[hit] = 1.0;
+        return;
+    }
+    for m in membership.iter_mut() {
+        *m = 1.0 / *m;
+    }
+    let total: f64 = membership.iter().sum();
+    for m in membership.iter_mut() {
+        *m /= total;
     }
 }
 
@@ -220,12 +280,12 @@ impl EconomyK {
             for _ in 0..n {
                 classifiers.push(Box::new(GaussianNb::decode_state(d)?));
             }
-            Some(Model {
-                kmeans,
-                classifiers,
-                expected_error: d.f64_rows()?,
-                len: d.usize()?,
-            })
+            let expected_error = d.f64_rows()?;
+            let len = d.usize()?;
+            Some(
+                Model::new(kmeans, classifiers, expected_error, len)
+                    .map_err(|detail| etsc_data::CodecError::Corrupt { detail })?,
+            )
         } else {
             None
         };
@@ -287,12 +347,8 @@ impl EconomyK {
             }
             classifiers.push(clf);
         }
-        Ok(Model {
-            kmeans,
-            classifiers,
-            expected_error,
-            len,
-        })
+        Ok(Model::new(kmeans, classifiers, expected_error, len)
+            .expect("a fit builds one error row and one classifier per horizon"))
     }
 
     /// Training harmonic mean of a candidate (accuracy vs 1 − earliness),
@@ -364,44 +420,85 @@ impl EarlyClassifier for EconomyK {
 
     fn start_stream(&self) -> Result<Box<dyn StreamState + '_>, EtscError> {
         let model = self.model.as_ref().ok_or(EtscError::NotFitted)?;
-        Ok(Box::new(EconomyStream {
+        Ok(Box::new(EconomyStream::new(
             model,
-            lambda: self.config.lambda,
-            time_cost: self.config.time_cost,
-            series: Vec::with_capacity(model.len),
-        }))
+            self.config.lambda,
+            self.config.time_cost,
+        )))
     }
 }
 
+/// A delta-fed ECONOMY-K stream: each row folds one squared distance
+/// per centroid into running sums, in time order, so a decision costs
+/// O(k) plus the horizon scan instead of a pass over the whole prefix.
 struct EconomyStream<'a> {
     model: &'a Model,
     lambda: f64,
     time_cost: f64,
-    /// Pushed values, up to the model length.
-    series: Vec<f64>,
+    /// Everything the stream keeps, in the one allocation a stream of
+    /// pushed values alone would take: `[..k]`, each centroid's squared
+    /// distance to the series, summed in time order as
+    /// [`Model::membership`] sums it; `[k..2k]`, the membership `decide`
+    /// normalises those sums into; `[2k..]`, the pushed values, up to
+    /// the model length.
+    state: Vec<f64>,
+}
+
+impl<'a> EconomyStream<'a> {
+    fn new(model: &'a Model, lambda: f64, time_cost: f64) -> EconomyStream<'a> {
+        let mut state = Vec::with_capacity(2 * model.k() + model.len);
+        state.resize(2 * model.k(), 0.0);
+        EconomyStream {
+            model,
+            lambda,
+            time_cost,
+            state,
+        }
+    }
+
+    /// The values pushed so far, up to the model length.
+    fn series(&self) -> &[f64] {
+        &self.state[2 * self.model.k()..]
+    }
+
+    /// The soft cluster membership of the series pushed so far.
+    fn membership(&mut self) -> &[f64] {
+        let k = self.model.k();
+        let (squared, membership) = self.state[..2 * k].split_at_mut(k);
+        normalise(squared, membership);
+        membership
+    }
 }
 
 impl StreamState for EconomyStream<'_> {
     fn push(&mut self, row: &[f64]) -> Result<(), EtscError> {
         let x = first_value(row)?;
-        if self.series.len() < self.model.len {
-            self.series.push(x);
+        let t = self.series().len();
+        if t < self.model.len {
+            let centroids = self.model.kmeans.centroids();
+            for (sum, c) in self.state.iter_mut().zip(centroids) {
+                let d = x - c[t];
+                *sum += d * d;
+            }
+            self.state.push(x);
         }
         Ok(())
     }
 
     fn decide(&mut self, is_final: bool) -> Result<Option<Label>, EtscError> {
         let m = self.model;
-        let t = self.series.len();
+        let t = self.series().len();
         if t == 0 {
             return Ok(None);
         }
-        let series = &self.series[..];
-        if t >= m.len || is_final || m.should_decide_now(series, self.lambda, self.time_cost) {
-            let pred = m.classifiers[t - 1].predict(series)?;
-            return Ok(Some(pred));
+        if t < m.len && !is_final {
+            let (lambda, time_cost) = (self.lambda, self.time_cost);
+            if !m.decide_now(self.membership(), t, lambda, time_cost) {
+                return Ok(None);
+            }
         }
-        Ok(None)
+        let pred = m.classifiers[t - 1].predict(self.series())?;
+        Ok(Some(pred))
     }
 }
 
@@ -497,6 +594,141 @@ mod tests {
         eager.fit(&d).unwrap();
         let p = eager.predict_early(d.instance(0)).unwrap();
         assert_eq!(p.prefix_len, 1, "extreme time cost must decide immediately");
+    }
+
+    /// Whole-prefix membership as computed before streams were
+    /// delta-fed, kept verbatim as the reference.
+    fn reference_membership(m: &Model, prefix: &[f64]) -> Vec<f64> {
+        let t = prefix.len();
+        let dists: Vec<f64> = m
+            .kmeans
+            .centroids()
+            .iter()
+            .map(|c| {
+                prefix
+                    .iter()
+                    .zip(&c[..t])
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f64>()
+                    .sqrt()
+            })
+            .collect();
+        if let Some(hit) = dists.iter().position(|&d| d < 1e-12) {
+            let mut p = vec![0.0; dists.len()];
+            p[hit] = 1.0;
+            return p;
+        }
+        let inv: Vec<f64> = dists.iter().map(|&d| 1.0 / d).collect();
+        let total: f64 = inv.iter().sum();
+        inv.into_iter().map(|v| v / total).collect()
+    }
+
+    /// The decide-now verdict as computed before, over the stored
+    /// `expected_error[g][t-1]` layout.
+    fn reference_decide_now(m: &Model, prefix: &[f64], lambda: f64, time_cost: f64) -> bool {
+        let t = prefix.len();
+        let membership = reference_membership(m, prefix);
+        let cost = |horizon: usize| {
+            let err: f64 = membership
+                .iter()
+                .enumerate()
+                .map(|(g, &p)| p * m.expected_error[g][horizon - 1])
+                .sum();
+            lambda * err + time_cost * horizon as f64
+        };
+        let now = cost(t);
+        for tau in 1..=(m.len - t) {
+            if cost(t + tau) < now {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Streamed series for a fitted model: seeded values around the
+    /// training range with NaN and ±inf, each centroid exactly (the
+    /// one-hot branch), and a centroid that then turns away; every one
+    /// runs four rows past the model length.
+    fn streamed(m: &Model) -> Vec<Vec<f64>> {
+        let mut x = 0x5851_F42D_4C95_7F2Du64;
+        let mut next = || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let rows = m.len + 4;
+        let mut out: Vec<Vec<f64>> = (0..24)
+            .map(|_| {
+                (0..rows)
+                    .map(|_| match next() % 40 {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        r => (r as f64 - 21.0) / 4.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        for c in m.kmeans.centroids() {
+            let mut on = c[..m.len].to_vec();
+            on.extend([0.5; 4]);
+            let mut away = on.clone();
+            for v in &mut away[m.len / 2..] {
+                *v = -*v - 1.0;
+            }
+            out.push(on);
+            out.push(away);
+        }
+        out
+    }
+
+    #[test]
+    fn delta_fed_membership_and_verdict_equal_the_whole_prefix_after_every_row() {
+        let d = toy();
+        for k in 1..=3 {
+            let mut eco = EconomyK::new(EconomyKConfig {
+                k_candidates: vec![k],
+                ..EconomyKConfig::default()
+            });
+            eco.fit(&d).unwrap();
+            let (lambda, time_cost) = (eco.config.lambda, eco.config.time_cost);
+            let m = eco.model.as_ref().unwrap();
+            assert_eq!(m.k(), k);
+            let predict = |prefix: &[f64]| m.classifiers[prefix.len() - 1].predict(prefix).unwrap();
+            let mut one_hot = 0;
+            for (s, series) in streamed(m).iter().enumerate() {
+                let mut stream = EconomyStream::new(m, lambda, time_cost);
+                for (i, &x) in series.iter().enumerate() {
+                    stream.push(&[x, 9.0]).unwrap();
+                    let prefix = &series[..(i + 1).min(m.len)];
+                    let t = prefix.len();
+                    let want = reference_membership(m, prefix);
+                    one_hot += usize::from(want.contains(&1.0) && k > 1);
+                    let at = format!("k {k}, series {s}, row {}", i + 1);
+                    assert_eq!(bits(&m.membership(prefix)), bits(&want), "{at}");
+                    assert_eq!(bits(stream.membership()), bits(&want), "{at}");
+                    let now = reference_decide_now(m, prefix, lambda, time_cost);
+                    assert_eq!(m.should_decide_now(prefix, lambda, time_cost), now, "{at}");
+                    let verdict = (t >= m.len || now).then(|| predict(prefix));
+                    assert_eq!(stream.decide(false).unwrap(), verdict, "{at}");
+                    if i == 2 {
+                        // A forced decision right after a non-final one.
+                        assert_eq!(stream.decide(true).unwrap(), Some(predict(prefix)), "{at}");
+                    }
+                }
+                let prefix = &series[..m.len];
+                assert_eq!(stream.decide(true).unwrap(), Some(predict(prefix)));
+            }
+            if k > 1 {
+                assert!(one_hot > 0, "k {k}: no prefix lay on a centroid");
+            }
+        }
     }
 }
 #[cfg(test)]

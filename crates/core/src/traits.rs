@@ -22,10 +22,11 @@ pub struct EarlyPrediction {
 /// The caller [`push`](StreamState::push)es each row as it arrives and
 /// calls [`decide`](StreamState::decide) whenever it wants the prefix
 /// pushed so far evaluated: after every row, or only at batch
-/// boundaries. `push` only appends, at amortised O(vars); the model's
-/// work happens in `decide`, so an implementation can keep incremental
-/// state and pay for each row once instead of rescanning the prefix
-/// on every evaluation.
+/// boundaries. `push` appends, at amortised O(vars), folding the row
+/// into at most a constant-size running state (ECO-K's k centroid
+/// distances); the model's work happens in `decide`, so an
+/// implementation can keep incremental state and pay for each row once
+/// instead of rescanning the prefix on every evaluation.
 pub trait StreamState {
     /// Appends one observation: one value per variable, in variable
     /// order. Univariate algorithms read the first value.

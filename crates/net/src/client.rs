@@ -24,11 +24,14 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use etsc_data::Encoder;
+
 use crate::options::ClientBuilder;
 use crate::poll::DontWait;
 use crate::proto::{
-    encode_frame, DecisionKind, ErrorCode, Frame, FrameDecoder, ModelInfo, ProtoError, RetryClass,
-    BATCH_MINOR, MAX_FRAME_BYTES, PRIORITY_NORMAL, PROTO_VERSION,
+    append_frame, batch_capacity, encode_frame, write_observe, write_observe_batch, DecisionKind,
+    ErrorCode, Frame, FrameDecoder, ModelInfo, ProtoError, RetryClass, BATCH_MINOR,
+    MAX_FRAME_BYTES, PRIORITY_NORMAL, PROTO_VERSION,
 };
 use crate::record::Record;
 
@@ -184,13 +187,82 @@ pub struct ClientStats {
     pub session_retries: u64,
 }
 
+/// One sent row: where its values end in [`SessionState::values`],
+/// and when it was sent.
+struct SentRow {
+    end: usize,
+    at: Instant,
+}
+
 /// A session that has no answer yet: what a resume replays.
 struct SessionState {
     expected_len: usize,
-    sent: Vec<Vec<f64>>,
-    send_times: Vec<Instant>,
+    /// Every row sent so far, back to back.
+    values: Vec<f64>,
+    /// One entry per row sent, in step order.
+    rows: Vec<SentRow>,
     /// Automatic re-opens already spent on this logical session.
     retries: u32,
+}
+
+impl SessionState {
+    fn new(expected_len: usize) -> SessionState {
+        SessionState {
+            expected_len,
+            values: Vec::new(),
+            rows: Vec::new(),
+            retries: 0,
+        }
+    }
+
+    /// Buffers `row`, sent at `at`, for replay; returns its 1-based
+    /// step.
+    fn push(&mut self, row: &[f64], at: Instant) -> u64 {
+        self.values.extend_from_slice(row);
+        self.rows.push(SentRow {
+            end: self.values.len(),
+            at,
+        });
+        self.rows.len() as u64
+    }
+
+    /// The rows sent so far, in step order.
+    fn sent(&self) -> impl Iterator<Item = &[f64]> {
+        let mut start = 0;
+        self.rows.iter().map(move |r| {
+            let row = &self.values[start..r.end];
+            start = r.end;
+            row
+        })
+    }
+
+    /// Appends the frames that open this session as `id` and resend
+    /// every buffered row: what a retry (`resume = false`) or a
+    /// reconnect (`resume = true`) writes.
+    fn append_replay(
+        &self,
+        wire: &mut Vec<u8>,
+        id: u64,
+        resume: bool,
+        vars: usize,
+        config: &ClientBuilder,
+    ) -> Result<(), ProtoError> {
+        let open = Frame::OpenSession {
+            id,
+            vars,
+            expected_len: self.expected_len,
+            resume,
+            deadline_ms: config.deadline_ms,
+            priority: PRIORITY_NORMAL,
+        };
+        append_frame(wire, MAX_FRAME_BYTES, |enc| open.encode_body(enc))?;
+        for (i, row) in self.sent().enumerate() {
+            append_frame(wire, MAX_FRAME_BYTES, |enc| {
+                write_observe(enc, id, i as u64 + 1, row, config.observe_deadline_ms);
+            })?;
+        }
+        Ok(())
+    }
 }
 
 /// A blocking connection to an [`crate::server::NetServer`],
@@ -202,6 +274,9 @@ pub struct Client {
     jitter_seed: u64,
     stream: TcpStream,
     dec: FrameDecoder,
+    /// The wire image of the frame being sent, reused from frame to
+    /// frame.
+    wire: Vec<u8>,
     meta: ModelInfo,
     /// Sessions awaiting their answer; an answered one moves to
     /// `answers`.
@@ -260,6 +335,7 @@ impl Client {
             jitter_seed,
             stream,
             dec,
+            wire: Vec::new(),
             meta,
             sessions: HashMap::new(),
             answers: Record::new(ANSWER_MEMORY),
@@ -275,6 +351,9 @@ impl Client {
     /// Follows the alias chain from a caller-held session id to the id
     /// currently live on the wire (identity for never-retried ids).
     fn resolve(&self, id: u64) -> u64 {
+        if self.aliases.is_empty() {
+            return id;
+        }
         let mut cur = id;
         // The chain is acyclic by construction (aliases always point at
         // strictly newer ids); the bound is sheer paranoia.
@@ -311,24 +390,17 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let expected_len = expected_len.max(1);
-        self.sessions.insert(
+        self.sessions.insert(id, SessionState::new(expected_len));
+        let open = Frame::OpenSession {
             id,
-            SessionState {
-                expected_len,
-                sent: Vec::new(),
-                send_times: Vec::new(),
-                retries: 0,
-            },
-        );
-        let vars = self.meta.vars;
-        self.send(&Frame::OpenSession {
-            id,
-            vars,
+            vars: self.meta.vars,
             expected_len,
             resume: false,
             deadline_ms: self.config.deadline_ms,
             priority: PRIORITY_NORMAL,
-        })?;
+        };
+        // After a broken write, the reconnect's replay re-opened it.
+        self.write_frame(|enc| open.encode_body(enc))?;
         Ok(id)
     }
 
@@ -342,21 +414,18 @@ impl Client {
         let Some(state) = self.sessions.get_mut(&id) else {
             return Ok(());
         };
-        state.sent.push(row.to_vec());
-        state.send_times.push(Instant::now());
-        let step = state.sent.len() as u64;
-        self.send(&Frame::Observe {
-            session: id,
-            step,
-            row: row.to_vec(),
-            deadline_ms: self.config.observe_deadline_ms,
-        })
+        let step = state.push(row, Instant::now());
+        let deadline_ms = self.config.observe_deadline_ms;
+        // After a broken write, the reconnect's replay resent the row.
+        self.write_frame(|enc| write_observe(enc, id, step, row, deadline_ms))?;
+        Ok(())
     }
 
     /// Sends many observation rows for session `id` in one shot,
     /// coalesced into `ObserveBatch` frames (chunked so each frame
     /// stays under [`MAX_FRAME_BYTES`]). Every row is buffered for
-    /// replay individually — a reconnect mid-batch resumes row by row.
+    /// replay individually — a reconnect mid-batch resumes row by row,
+    /// and sends nothing after the replay.
     /// A no-op once the session has an outcome.
     ///
     /// # Errors
@@ -369,23 +438,22 @@ impl Client {
         let Some(state) = self.sessions.get_mut(&id) else {
             return Ok(());
         };
-        let start_step = state.sent.len() as u64 + 1;
         let now = Instant::now();
+        let start_step = state.rows.len() as u64 + 1;
         for row in rows {
-            state.sent.push(row.clone());
-            state.send_times.push(now);
+            state.push(row, now);
         }
-        // Rows per frame such that the payload (8 bytes per value plus
-        // slack for the envelope) stays under the ceiling.
-        let row_len = rows[0].len().max(1);
-        let max_rows = (MAX_FRAME_BYTES.saturating_sub(64) / (8 * row_len)).max(1);
-        for (chunk_i, chunk) in rows.chunks(max_rows).enumerate() {
-            self.send(&Frame::ObserveBatch {
-                session: id,
-                start_step: start_step + (chunk_i * max_rows) as u64,
-                rows: chunk.to_vec(),
-                deadline_ms: self.config.observe_deadline_ms,
-            })?;
+        // Rows per frame, sized by the widest row's encoding.
+        let width = rows.iter().map(Vec::len).max().unwrap_or(0);
+        let per_frame = batch_capacity(width, MAX_FRAME_BYTES);
+        let deadline_ms = self.config.observe_deadline_ms;
+        for (k, chunk) in rows.chunks(per_frame).enumerate() {
+            let start = start_step + (k * per_frame) as u64;
+            if self.write_frame(|enc| write_observe_batch(enc, id, start, chunk, deadline_ms))? {
+                // The reconnect's replay resent every buffered row,
+                // this batch's included.
+                return Ok(());
+            }
         }
         Ok(())
     }
@@ -529,17 +597,13 @@ impl Client {
         let step = self
             .sessions
             .get(&id)
-            .map(|s| s.sent.len() as u64 + 1)
+            .map(|s| s.rows.len() as u64 + 1)
             .unwrap_or(1);
-        let wire = encode_frame(
-            &Frame::Observe {
-                session: id,
-                step,
-                row: row.to_vec(),
-                deadline_ms: self.config.observe_deadline_ms,
-            },
-            MAX_FRAME_BYTES,
-        )?;
+        let deadline_ms = self.config.observe_deadline_ms;
+        let mut wire = Vec::new();
+        append_frame(&mut wire, MAX_FRAME_BYTES, |enc| {
+            write_observe(enc, id, step, row, deadline_ms);
+        })?;
         let half = wire.len() / 2;
         let _ = self.stream.write_all(&wire[..half]);
         let _ = self.stream.flush();
@@ -571,18 +635,12 @@ impl Client {
         let Some(state) = self.sessions.get_mut(&id) else {
             return Ok(());
         };
-        state.sent.push(row.to_vec());
-        state.send_times.push(Instant::now());
-        let step = state.sent.len() as u64;
-        let wire = encode_frame(
-            &Frame::Observe {
-                session: id,
-                step,
-                row: row.to_vec(),
-                deadline_ms: self.config.observe_deadline_ms,
-            },
-            MAX_FRAME_BYTES,
-        )?;
+        let step = state.push(row, Instant::now());
+        let deadline_ms = self.config.observe_deadline_ms;
+        let mut wire = Vec::new();
+        append_frame(&mut wire, MAX_FRAME_BYTES, |enc| {
+            write_observe(enc, id, step, row, deadline_ms);
+        })?;
         self.stats.loris_stalls += 1;
         let half = (wire.len() / 2).max(1);
         let write = (|| -> std::io::Result<()> {
@@ -601,34 +659,44 @@ impl Client {
 
     // -- internals ----------------------------------------------------
 
-    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+    /// Writes `self.wire`. A broken write heals the connection:
+    /// [`Client::reconnect`] re-opens every session awaiting its answer
+    /// and resends its buffered rows. Returns whether it did, in which
+    /// case `self.wire` was not delivered.
+    fn write_wire(&mut self) -> Result<bool, NetError> {
         if self.closed {
             return Err(NetError::Closed("client already closed".to_string()));
         }
-        let wire = encode_frame(frame, MAX_FRAME_BYTES)?;
         if self
             .stream
-            .write_all(&wire)
+            .write_all(&self.wire)
             .and_then(|()| self.stream.flush())
             .is_ok()
         {
-            return Ok(());
+            return Ok(false);
         }
-        // Broken pipe: heal the connection (replaying open sessions)
-        // and retry once. `frame` itself is already in the replay
-        // buffer when it is an Observe, so skip the resend for those.
         self.reconnect()?;
-        match frame {
-            // Already in the replay buffer; the reconnect resent them.
-            Frame::Observe { .. } | Frame::ObserveBatch { .. } => Ok(()),
-            _ => {
-                let wire = encode_frame(frame, MAX_FRAME_BYTES)?;
-                self.stream
-                    .write_all(&wire)
-                    .and_then(|()| self.stream.flush())
-                    .map_err(|e| NetError::Closed(format!("resend after reconnect: {e}")))
-            }
+        Ok(true)
+    }
+
+    /// Encodes one frame, whose payload `body` writes, into the reused
+    /// buffer and writes it; see [`Client::write_wire`].
+    fn write_frame(&mut self, body: impl FnOnce(&mut Encoder)) -> Result<bool, NetError> {
+        self.wire.clear();
+        append_frame(&mut self.wire, MAX_FRAME_BYTES, body)?;
+        self.write_wire()
+    }
+
+    /// Sends a frame that no replay covers (close, feedback, shutdown):
+    /// after a reconnect it is written once more.
+    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+        if self.write_frame(|enc| frame.encode_body(enc))? {
+            self.stream
+                .write_all(&self.wire)
+                .and_then(|()| self.stream.flush())
+                .map_err(|e| NetError::Closed(format!("resend after reconnect: {e}")))?;
         }
+        Ok(())
     }
 
     fn pump_available(&mut self) -> Result<(), NetError> {
@@ -774,11 +842,11 @@ impl Client {
         if let Some(state) = self.sessions.remove(&session) {
             let trigger = (prefix_len as usize)
                 .saturating_sub(1)
-                .min(state.send_times.len().saturating_sub(1));
+                .min(state.rows.len().saturating_sub(1));
             let latency = state
-                .send_times
+                .rows
                 .get(trigger)
-                .map(|t| t.elapsed())
+                .map(|r| r.at.elapsed())
                 .unwrap_or_default();
             self.answers.insert(
                 session,
@@ -816,30 +884,15 @@ impl Client {
         self.next_id += 1;
         self.aliases.insert(old, new);
         std::thread::sleep(self.jittered(hint));
-        let rows = state.sent.clone();
-        let expected_len = state.expected_len;
         let now = Instant::now();
-        for t in &mut state.send_times {
-            *t = now;
+        for row in &mut state.rows {
+            row.at = now;
         }
+        self.wire.clear();
+        state.append_replay(&mut self.wire, new, false, self.meta.vars, &self.config)?;
         self.sessions.insert(new, state);
-        let vars = self.meta.vars;
-        self.send(&Frame::OpenSession {
-            id: new,
-            vars,
-            expected_len,
-            resume: false,
-            deadline_ms: self.config.deadline_ms,
-            priority: PRIORITY_NORMAL,
-        })?;
-        for (i, row) in rows.iter().enumerate() {
-            self.send(&Frame::Observe {
-                session: new,
-                step: i as u64 + 1,
-                row: row.clone(),
-                deadline_ms: self.config.observe_deadline_ms,
-            })?;
-        }
+        // After a broken write, the reconnect's replay re-opened it.
+        self.write_wire()?;
         Ok(())
     }
 
@@ -884,45 +937,23 @@ impl Client {
     }
 
     fn replay_sessions(&mut self, stream: &mut TcpStream) -> Result<(), ProtoError> {
-        let max = MAX_FRAME_BYTES;
         let now = Instant::now();
         let mut ids: Vec<u64> = self.sessions.keys().copied().collect();
         ids.sort_unstable();
-        let vars = self.meta.vars;
-        let deadline_ms = self.config.deadline_ms;
-        let observe_deadline_ms = self.config.observe_deadline_ms;
+        // Its own buffer: `self.wire` may hold the frame whose broken
+        // write led here.
+        let mut wire = Vec::new();
         for id in ids {
             let Some(state) = self.sessions.get_mut(&id) else {
                 continue;
             };
-            let open = encode_frame(
-                &Frame::OpenSession {
-                    id,
-                    vars,
-                    expected_len: state.expected_len,
-                    resume: true,
-                    deadline_ms,
-                    priority: PRIORITY_NORMAL,
-                },
-                max,
-            )?;
-            stream.write_all(&open).map_err(ProtoError::Io)?;
-            for (i, row) in state.sent.iter().enumerate() {
-                let wire = encode_frame(
-                    &Frame::Observe {
-                        session: id,
-                        step: i as u64 + 1,
-                        row: row.clone(),
-                        deadline_ms: observe_deadline_ms,
-                    },
-                    max,
-                )?;
-                stream.write_all(&wire).map_err(ProtoError::Io)?;
-            }
+            wire.clear();
+            state.append_replay(&mut wire, id, true, self.meta.vars, &self.config)?;
+            stream.write_all(&wire).map_err(ProtoError::Io)?;
             // Latency for replayed rows restarts at the replay — the
             // disconnect's cost shows up in the tail, as it should.
-            for t in &mut state.send_times {
-                *t = now;
+            for row in &mut state.rows {
+                row.at = now;
             }
         }
         stream.flush().map_err(ProtoError::Io)

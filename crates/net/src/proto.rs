@@ -613,9 +613,9 @@ impl Frame {
     }
 
     /// Appends the payload (tag + body) to `enc` — the allocation-free
-    /// half of [`Frame::encode_payload`] that [`encode_frame_into`]
-    /// and the [`BufferPool`] build on.
-    fn encode_body(&self, enc: &mut Encoder) {
+    /// half of [`Frame::encode_payload`] that [`encode_frame`],
+    /// [`encode_frame_into`] and the [`BufferPool`] build on.
+    pub(crate) fn encode_body(&self, enc: &mut Encoder) {
         match self {
             Frame::Hello {
                 version,
@@ -660,27 +660,13 @@ impl Frame {
                 step,
                 row,
                 deadline_ms,
-            } => {
-                enc.tag(TAG_OBSERVE);
-                enc.u64(*session);
-                enc.u64(*step);
-                enc.f64s(row);
-                if *deadline_ms != 0 {
-                    enc.u64(*deadline_ms);
-                }
-            }
+            } => write_observe(enc, *session, *step, row, *deadline_ms),
             Frame::ObserveBatch {
                 session,
                 start_step,
                 rows,
                 deadline_ms,
-            } => {
-                enc.tag(TAG_OBSERVE_BATCH);
-                enc.u64(*session);
-                enc.u64(*start_step);
-                enc.f64_rows(rows);
-                enc.u64(*deadline_ms);
-            }
+            } => write_observe_batch(enc, *session, *start_step, rows, *deadline_ms),
             Frame::Decision {
                 session,
                 label,
@@ -741,6 +727,20 @@ impl Frame {
                     enc.u64(*retry_after_ms);
                 }
             }
+        }
+    }
+
+    /// A guess at the payload size, so [`encode_frame`] allocates once:
+    /// exact for the observation and decision-batch frames, a floor for
+    /// the rest.
+    fn payload_hint(&self) -> usize {
+        match self {
+            Frame::Observe { row, .. } => 33 + 8 * row.len(),
+            Frame::ObserveBatch { rows, .. } => {
+                BATCH_ENVELOPE + rows.iter().map(|r| 8 + 8 * r.len()).sum::<usize>()
+            }
+            Frame::DecisionBatch { decisions } => 9 + 25 * decisions.len(),
+            _ => 64,
         }
     }
 
@@ -948,22 +948,88 @@ impl Frame {
     }
 }
 
-/// Encodes a frame into its full wire image (header + payload).
+/// Payload bytes of an `ObserveBatch` besides its rows: tag, session,
+/// start step, row count and deadline.
+const BATCH_ENVELOPE: usize = 1 + 8 + 8 + 8 + 8;
+
+/// Writes an `Observe` payload (tag + body): the one copy of its
+/// layout, shared by [`Frame::Observe`] and the client's borrowed rows.
+pub(crate) fn write_observe(
+    enc: &mut Encoder,
+    session: u64,
+    step: u64,
+    row: &[f64],
+    deadline_ms: u64,
+) {
+    enc.tag(TAG_OBSERVE);
+    enc.u64(session);
+    enc.u64(step);
+    enc.f64s(row);
+    if deadline_ms != 0 {
+        enc.u64(deadline_ms);
+    }
+}
+
+/// Writes an `ObserveBatch` payload (tag + body): the one copy of its
+/// layout, shared by [`Frame::ObserveBatch`] and the client's borrowed
+/// rows.
+pub(crate) fn write_observe_batch(
+    enc: &mut Encoder,
+    session: u64,
+    start_step: u64,
+    rows: &[Vec<f64>],
+    deadline_ms: u64,
+) {
+    enc.tag(TAG_OBSERVE_BATCH);
+    enc.u64(session);
+    enc.u64(start_step);
+    enc.f64_rows(rows);
+    enc.u64(deadline_ms);
+}
+
+/// Rows of `width` values that one `ObserveBatch` payload of at most
+/// `max_frame` bytes holds (at least one). Each row costs its 8-byte
+/// length prefix and 8 bytes per value.
+pub(crate) fn batch_capacity(width: usize, max_frame: usize) -> usize {
+    (max_frame.saturating_sub(BATCH_ENVELOPE) / (8 + 8 * width)).max(1)
+}
+
+/// Appends one frame's wire image to `wire`: the header, then the
+/// payload `body` writes, checksummed in place. On
+/// [`ProtoError::TooLarge`] `wire` is left as it was.
+pub(crate) fn append_frame(
+    wire: &mut Vec<u8>,
+    max_frame: usize,
+    body: impl FnOnce(&mut Encoder),
+) -> Result<(), ProtoError> {
+    let start = wire.len();
+    let mut enc = Encoder::appending(std::mem::take(wire));
+    enc.raw(&[0u8; HEADER_BYTES]);
+    body(&mut enc);
+    *wire = enc.into_bytes();
+    let payload = start + HEADER_BYTES;
+    let len = wire.len() - payload;
+    if len > max_frame {
+        wire.truncate(start);
+        return Err(ProtoError::TooLarge {
+            len,
+            max: max_frame,
+        });
+    }
+    let crc = crc64(&wire[payload..]);
+    wire[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    wire[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Encodes a frame into its full wire image (header + payload), in
+/// one buffer.
 ///
 /// # Errors
 /// [`ProtoError::TooLarge`] when the payload exceeds `max_frame`.
 pub fn encode_frame(frame: &Frame, max_frame: usize) -> Result<Vec<u8>, ProtoError> {
-    let payload = frame.encode_payload();
-    if payload.len() > max_frame {
-        return Err(ProtoError::TooLarge {
-            len: payload.len(),
-            max: max_frame,
-        });
-    }
-    let mut wire = Vec::with_capacity(HEADER_BYTES + payload.len());
-    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    wire.extend_from_slice(&crc64(&payload).to_le_bytes());
-    wire.extend_from_slice(&payload);
+    let mut wire = Vec::with_capacity(HEADER_BYTES + frame.payload_hint());
+    append_frame(&mut wire, max_frame, |enc| frame.encode_body(enc))?;
     Ok(wire)
 }
 
@@ -976,23 +1042,11 @@ pub fn encode_frame(frame: &Frame, max_frame: usize) -> Result<Vec<u8>, ProtoErr
 pub fn encode_frame_into(
     frame: &Frame,
     max_frame: usize,
-    buf: Vec<u8>,
+    mut buf: Vec<u8>,
 ) -> Result<Vec<u8>, ProtoError> {
-    let mut enc = Encoder::from_vec(buf);
-    enc.raw(&[0u8; HEADER_BYTES]);
-    frame.encode_body(&mut enc);
-    let mut wire = enc.into_bytes();
-    let len = wire.len() - HEADER_BYTES;
-    if len > max_frame {
-        return Err(ProtoError::TooLarge {
-            len,
-            max: max_frame,
-        });
-    }
-    let crc = crc64(&wire[HEADER_BYTES..]);
-    wire[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    wire[4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
-    Ok(wire)
+    buf.clear();
+    append_frame(&mut buf, max_frame, |enc| frame.encode_body(enc))?;
+    Ok(buf)
 }
 
 /// A small stack of recycled encode buffers. The event-loop server
@@ -1752,6 +1806,131 @@ mod tests {
             pool.encode(&big, 64),
             Err(ProtoError::TooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn one_buffer_encode_is_header_then_checksummed_payload() {
+        for f in sample_frames() {
+            let payload = f.encode_payload();
+            let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&crc64(&payload).to_le_bytes());
+            wire.extend_from_slice(&payload);
+            assert_eq!(encode_frame(&f, MAX_FRAME_BYTES).unwrap(), wire, "{f:?}");
+        }
+    }
+
+    /// An observation frame's wire image assembled field by field, with
+    /// no encoder: the layout both the borrowed and the owned path must
+    /// write.
+    fn by_hand(
+        batch: bool,
+        session: u64,
+        step: u64,
+        rows: &[Vec<f64>],
+        deadline_ms: u64,
+    ) -> Vec<u8> {
+        let mut p = vec![if batch {
+            TAG_OBSERVE_BATCH
+        } else {
+            TAG_OBSERVE
+        }];
+        p.extend(session.to_le_bytes());
+        p.extend(step.to_le_bytes());
+        if batch {
+            p.extend((rows.len() as u64).to_le_bytes());
+        }
+        for row in rows {
+            p.extend((row.len() as u64).to_le_bytes());
+            for v in row {
+                p.extend(v.to_bits().to_le_bytes());
+            }
+        }
+        if batch || deadline_ms != 0 {
+            p.extend(deadline_ms.to_le_bytes());
+        }
+        let mut wire = (p.len() as u32).to_le_bytes().to_vec();
+        wire.extend(crc64(&p).to_le_bytes());
+        wire.extend(p);
+        wire
+    }
+
+    #[test]
+    fn borrowed_rows_encode_as_the_owned_frames() {
+        let rows: Vec<Vec<f64>> = (0..9)
+            .map(|t| vec![t as f64, -0.0, f64::NAN, f64::INFINITY, 1e-300][..1 + t % 5].to_vec())
+            .collect();
+        let (mut borrowed, mut owned, mut expected) = (Vec::new(), Vec::new(), Vec::new());
+        for deadline_ms in [0, 250] {
+            for (t, row) in rows.iter().enumerate() {
+                let step = t as u64 + 1;
+                append_frame(&mut borrowed, MAX_FRAME_BYTES, |enc| {
+                    write_observe(enc, 7, step, row, deadline_ms);
+                })
+                .unwrap();
+                let frame = Frame::Observe {
+                    session: 7,
+                    step,
+                    row: row.clone(),
+                    deadline_ms,
+                };
+                owned.extend(encode_frame(&frame, MAX_FRAME_BYTES).unwrap());
+                expected.extend(by_hand(
+                    false,
+                    7,
+                    step,
+                    std::slice::from_ref(row),
+                    deadline_ms,
+                ));
+            }
+            // Chunks of one row, a few rows and all of them.
+            for n in [1, 4, rows.len()] {
+                append_frame(&mut borrowed, MAX_FRAME_BYTES, |enc| {
+                    write_observe_batch(enc, 7, 3, &rows[..n], deadline_ms);
+                })
+                .unwrap();
+                let frame = Frame::ObserveBatch {
+                    session: 7,
+                    start_step: 3,
+                    rows: rows[..n].to_vec(),
+                    deadline_ms,
+                };
+                owned.extend(encode_frame(&frame, MAX_FRAME_BYTES).unwrap());
+                expected.extend(by_hand(true, 7, 3, &rows[..n], deadline_ms));
+            }
+        }
+        // Frames appended back to back are the owned frames' images,
+        // concatenated, and both are the hand-assembled layout.
+        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed, expected);
+    }
+
+    #[test]
+    fn batch_capacity_is_the_last_row_count_under_the_ceiling() {
+        for width in [1, 2, 7, 100, 4096] {
+            let cap = batch_capacity(width, MAX_FRAME_BYTES);
+            let rows = vec![vec![0.5; width]; cap + 1];
+            let mut wire = Vec::new();
+            append_frame(&mut wire, MAX_FRAME_BYTES, |enc| {
+                write_observe_batch(enc, 1, 1, &rows[..cap], 30);
+            })
+            .unwrap();
+            assert!(
+                wire.len() - HEADER_BYTES <= MAX_FRAME_BYTES,
+                "width {width}"
+            );
+            let before = wire.clone();
+            let over = append_frame(&mut wire, MAX_FRAME_BYTES, |enc| {
+                write_observe_batch(enc, 1, 1, &rows, 30);
+            });
+            assert!(
+                matches!(over, Err(ProtoError::TooLarge { .. })),
+                "width {width}: {over:?}"
+            );
+            assert_eq!(wire, before, "a refused frame leaves the buffer as it was");
+        }
+        // A row wider than a whole frame still gets a chunk of its own,
+        // which its encode then refuses.
+        assert_eq!(batch_capacity(MAX_FRAME_BYTES, MAX_FRAME_BYTES), 1);
     }
 
     #[test]

@@ -81,6 +81,11 @@ impl<V> Record<V> {
         self.entries.contains_key(&id)
     }
 
+    /// Whether no id is on record.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// Ids on record.
     #[cfg(test)]
     fn len(&self) -> usize {
