@@ -76,16 +76,13 @@ struct Model {
     classifiers: Vec<Box<dyn Classifier + Send + Sync>>,
     /// `expected_error[g][t-1]`: within cluster `g`, the probability that
     /// the prefix-`t` classifier mislabels a series (marginalised over the
-    /// cluster's class distribution). This is the stored layout.
+    /// cluster's class distribution).
     expected_error: Vec<Vec<f64>>,
-    /// The same table horizon-major, `error_by_horizon[(t-1)*k + g]`, so
-    /// a horizon scan reads one contiguous run. Derived, never stored.
-    error_by_horizon: Vec<f64>,
     len: usize,
 }
 
 impl Model {
-    /// A candidate, with its horizon-major error table derived.
+    /// A candidate whose tables fit `len` and the k centroids.
     ///
     /// # Errors
     /// A description of the mismatch when the tables do not fit `len`
@@ -107,14 +104,10 @@ impl Model {
                 kmeans.k()
             ));
         }
-        let error_by_horizon = (0..len)
-            .flat_map(|t| expected_error.iter().map(move |row| row[t]))
-            .collect();
         Ok(Model {
             kmeans,
             classifiers,
             expected_error,
-            error_by_horizon,
             len,
         })
     }
@@ -124,33 +117,14 @@ impl Model {
         self.expected_error.len()
     }
 
-    /// Soft cluster membership of a whole prefix against truncated
-    /// centroids: the reference a stream's running sums must match.
-    fn membership(&self, prefix: &[f64]) -> Vec<f64> {
-        let t = prefix.len();
-        let sums: Vec<f64> = self
-            .kmeans
-            .centroids()
-            .iter()
-            .map(|c| {
-                prefix
-                    .iter()
-                    .zip(&c[..t])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-            })
-            .collect();
-        let mut membership = vec![0.0; sums.len()];
-        normalise(&sums, &mut membership);
-        membership
-    }
-
     /// Expected cost of deciding at `horizon` for a prefix with the
     /// given cluster membership.
     fn cost(&self, membership: &[f64], horizon: usize, lambda: f64, time_cost: f64) -> f64 {
-        let k = membership.len();
-        let errors = &self.error_by_horizon[(horizon - 1) * k..horizon * k];
-        let err: f64 = membership.iter().zip(errors).map(|(&p, &e)| p * e).sum();
+        let err: f64 = membership
+            .iter()
+            .zip(&self.expected_error)
+            .map(|(&p, errors)| p * errors[horizon - 1])
+            .sum();
         lambda * err + time_cost * horizon as f64
     }
 
@@ -164,11 +138,6 @@ impl Model {
             }
         }
         true
-    }
-
-    /// [`Model::decide_now`] for a whole prefix.
-    fn should_decide_now(&self, prefix: &[f64], lambda: f64, time_cost: f64) -> bool {
-        self.decide_now(&self.membership(prefix), prefix.len(), lambda, time_cost)
     }
 }
 
@@ -358,22 +327,16 @@ impl EconomyK {
         let mut correct = 0usize;
         let mut total_prefix = 0usize;
         for (inst, label) in data.iter() {
-            let series = inst.var(0);
+            let mut stream = EconomyStream::new(model, self.config.lambda, self.config.time_cost);
             let mut committed = None;
-            for t in 1..=len {
-                if t == len
-                    || model.should_decide_now(
-                        &series[..t],
-                        self.config.lambda,
-                        self.config.time_cost,
-                    )
-                {
-                    let pred = model.classifiers[t - 1].predict(&series[..t])?;
-                    committed = Some((pred, t));
+            for (t, x) in inst.var(0).iter().enumerate() {
+                stream.push(std::slice::from_ref(x))?;
+                if let Some(pred) = stream.decide(false)? {
+                    committed = Some((pred, t + 1));
                     break;
                 }
             }
-            let (pred, t) = committed.expect("loop always commits at len");
+            let (pred, t) = committed.expect("a stream commits at the model length");
             if pred == label {
                 correct += 1;
             }
@@ -437,8 +400,8 @@ struct EconomyStream<'a> {
     time_cost: f64,
     /// Everything the stream keeps, in the one allocation a stream of
     /// pushed values alone would take: `[..k]`, each centroid's squared
-    /// distance to the series, summed in time order as
-    /// [`Model::membership`] sums it; `[k..2k]`, the membership `decide`
+    /// distance to the series, summed in time order; `[k..2k]`, the
+    /// membership `decide`
     /// normalises those sums into; `[2k..]`, the pushed values, up to
     /// the model length.
     state: Vec<f64>,
@@ -645,6 +608,26 @@ mod tests {
         true
     }
 
+    /// The training score as computed before: commit at the first
+    /// prefix whose whole-prefix verdict is "now", else at full length.
+    fn reference_score(m: &Model, data: &Dataset, lambda: f64, time_cost: f64) -> f64 {
+        let mut correct = 0usize;
+        let mut total_prefix = 0usize;
+        for (inst, label) in data.iter() {
+            let series = inst.var(0);
+            let t = (1..m.len)
+                .find(|&t| reference_decide_now(m, &series[..t], lambda, time_cost))
+                .unwrap_or(m.len);
+            if m.classifiers[t - 1].predict(&series[..t]).unwrap() == label {
+                correct += 1;
+            }
+            total_prefix += t;
+        }
+        let acc = correct as f64 / data.len() as f64;
+        let earliness = total_prefix as f64 / (data.len() * m.len) as f64;
+        2.0 * acc * (1.0 - earliness) / (acc + (1.0 - earliness))
+    }
+
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
     }
@@ -700,6 +683,11 @@ mod tests {
             let (lambda, time_cost) = (eco.config.lambda, eco.config.time_cost);
             let m = eco.model.as_ref().unwrap();
             assert_eq!(m.k(), k);
+            assert_eq!(
+                eco.score_candidate(m, &d).unwrap().to_bits(),
+                reference_score(m, &d, lambda, time_cost).to_bits(),
+                "k {k}: training score"
+            );
             let predict = |prefix: &[f64]| m.classifiers[prefix.len() - 1].predict(prefix).unwrap();
             let mut one_hot = 0;
             for (s, series) in streamed(m).iter().enumerate() {
@@ -711,10 +699,8 @@ mod tests {
                     let want = reference_membership(m, prefix);
                     one_hot += usize::from(want.contains(&1.0) && k > 1);
                     let at = format!("k {k}, series {s}, row {}", i + 1);
-                    assert_eq!(bits(&m.membership(prefix)), bits(&want), "{at}");
                     assert_eq!(bits(stream.membership()), bits(&want), "{at}");
                     let now = reference_decide_now(m, prefix, lambda, time_cost);
-                    assert_eq!(m.should_decide_now(prefix, lambda, time_cost), now, "{at}");
                     let verdict = (t >= m.len || now).then(|| predict(prefix));
                     assert_eq!(stream.decide(false).unwrap(), verdict, "{at}");
                     if i == 2 {

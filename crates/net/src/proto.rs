@@ -730,20 +730,6 @@ impl Frame {
         }
     }
 
-    /// A guess at the payload size, so [`encode_frame`] allocates once:
-    /// exact for the observation and decision-batch frames, a floor for
-    /// the rest.
-    fn payload_hint(&self) -> usize {
-        match self {
-            Frame::Observe { row, .. } => 33 + 8 * row.len(),
-            Frame::ObserveBatch { rows, .. } => {
-                BATCH_ENVELOPE + rows.iter().map(|r| 8 + 8 * r.len()).sum::<usize>()
-            }
-            Frame::DecisionBatch { decisions } => 9 + 25 * decisions.len(),
-            _ => 64,
-        }
-    }
-
     /// Decodes a payload (tag + body) produced by
     /// [`Frame::encode_payload`]. For non-extensible frames the whole
     /// payload must be consumed — trailing bytes are corruption. The
@@ -1028,7 +1014,8 @@ pub(crate) fn append_frame(
 /// # Errors
 /// [`ProtoError::TooLarge`] when the payload exceeds `max_frame`.
 pub fn encode_frame(frame: &Frame, max_frame: usize) -> Result<Vec<u8>, ProtoError> {
-    let mut wire = Vec::with_capacity(HEADER_BYTES + frame.payload_hint());
+    // Room for the header and a small frame; row data reserves its own.
+    let mut wire = Vec::with_capacity(64);
     append_frame(&mut wire, max_frame, |enc| frame.encode_body(enc))?;
     Ok(wire)
 }

@@ -121,16 +121,9 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// An empty encoder reusing `buf`'s allocation (the buffer is
-    /// cleared first) — lets hot encode paths recycle buffers through
-    /// a pool instead of allocating per message.
-    pub fn from_vec(mut buf: Vec<u8>) -> Encoder {
-        buf.clear();
-        Encoder { buf }
-    }
-
-    /// An encoder that writes after `buf`'s bytes, keeping them — lets
-    /// a caller pack several messages into one buffer.
+    /// An encoder that writes after `buf`'s bytes, keeping them and the
+    /// allocation — lets a caller pack several messages into one buffer,
+    /// or recycle a cleared buffer instead of allocating per message.
     pub fn appending(buf: Vec<u8>) -> Encoder {
         Encoder { buf }
     }
